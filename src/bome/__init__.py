@@ -21,7 +21,6 @@ from .core import (
 from .inner_loop import InnerResult, NotConverged, attraction_point, inner_descent
 from .barrier_step import (
     BarrierSolution,
-    MomentumState,
     bome_step,
     compute_lambda,
     compute_phi,
@@ -31,16 +30,13 @@ from .barrier_step import (
 from .metrics import (
     KktReport,
     KktVariant,
-    closed_form_lambda_star,
     kkt_attraction,
     kkt_exact,
     kkt_proxy,
 )
 from .problems import (
     CoresetProblem,
-    DegenerateLLSProblem,
     HypercleanProblem,
-    MinimaxProblem,
     RidgeRegProblem,
     coreset_oracle,
     export_dataset_csv,
@@ -53,7 +49,7 @@ from .problems import (
     softmax,
     softmax_jacobian,
 )
-from .baselines import BaselineKind, PrevGrads, gda_step, ogd_step
+from .baselines import gda_step, ogd_step
 from .gradcheck import (
     GradCheckReport,
     check_gradient,
@@ -67,12 +63,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierKind",
     "BarrierSolution",
-    "BaselineKind",
     "BilevelError",
     "BilevelOracle",
     "ConfigurationError",
     "CoresetProblem",
-    "DegenerateLLSProblem",
     "GradCheckReport",
     "HypercleanProblem",
     "InnerResult",
@@ -81,13 +75,10 @@ __all__ = [
     "KktReport",
     "KktVariant",
     "Method",
-    "MinimaxProblem",
     "MissingOracleCapability",
-    "MomentumState",
     "NotConverged",
     "NotConvergedError",
     "NumericalError",
-    "PrevGrads",
     "ProblemMetadata",
     "RidgeRegProblem",
     "SolverConfig",
@@ -99,7 +90,6 @@ __all__ = [
     "check_gradient",
     "check_oracle_gradients",
     "check_plug_in_estimator",
-    "closed_form_lambda_star",
     "compute_lambda",
     "compute_phi",
     "coreset_oracle",

@@ -39,7 +39,9 @@ class BarrierSolution:
 
     ``delta`` is the raw direction grad_f + lambda * grad_qhat before any
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
-    holds for it whenever grad_qhat is nonzero.
+    holds for it whenever grad_qhat is nonzero. ``velocity`` is the direction
+    the step applied: the heavy-ball velocity beta * velocity + delta under
+    momentum, otherwise delta itself.
     """
 
     lam: float
@@ -49,18 +51,7 @@ class BarrierSolution:
     q_hat: float
     inner_result: InnerResult
     grad_qhat_norm: float
-
-
-@dataclass
-class MomentumState:
-    """Heavy-ball velocity accumulated over the update directions of a run."""
-
-    dv: np.ndarray
-    dtheta: np.ndarray
-
-    @staticmethod
-    def zeros(point: JointPoint) -> "MomentumState":
-        return MomentumState(np.zeros(point.m), np.zeros(point.n))
+    velocity: JointGradient
 
 
 def q_hat_value(oracle: BilevelOracle, v, theta, theta_T) -> float:
@@ -121,14 +112,15 @@ def bome_step(
     oracle: BilevelOracle,
     point: JointPoint,
     cfg: SolverConfig,
-    momentum_state: Optional[MomentumState] = None,
+    velocity: Optional[JointGradient] = None,
 ) -> tuple[JointPoint, BarrierSolution]:
     """Apply one full outer iteration at ``point``.
 
     Returns the updated point together with the step's diagnostics. When
-    ``cfg.momentum_beta > 0`` a heavy-ball velocity (owned by the caller via
-    ``momentum_state``) smooths the applied direction; the reported
-    :class:`BarrierSolution` always carries the raw delta.
+    ``cfg.momentum_beta > 0`` and the caller passes the previous step's
+    ``velocity``, the step moves along the heavy-ball velocity
+    beta * velocity + delta and reports it as ``solution.velocity`` for the
+    next step; the reported ``delta`` is always the raw direction.
     """
     inner = inner_descent(
         oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
@@ -145,14 +137,12 @@ def bome_step(
     if not delta.is_finite():
         raise NumericalError("non-finite update direction")
 
-    step_dv, step_dtheta = delta.dv, delta.dtheta
-    if cfg.momentum_beta > 0.0 and momentum_state is not None:
-        momentum_state.dv = cfg.momentum_beta * momentum_state.dv + delta.dv
-        momentum_state.dtheta = cfg.momentum_beta * momentum_state.dtheta + delta.dtheta
-        step_dv, step_dtheta = momentum_state.dv, momentum_state.dtheta
-
-    new_v = point.v - cfg.xi_v * step_dv
-    new_theta = point.theta - cfg.xi_theta * step_dtheta
+    if cfg.momentum_beta > 0.0 and velocity is not None:
+        velocity = joint_axpy(delta, cfg.momentum_beta, velocity)
+    else:
+        velocity = delta
+    new_v = point.v - cfg.xi_v * velocity.dv
+    new_theta = point.theta - cfg.xi_theta * velocity.dtheta
     if not (np.isfinite(new_v).all() and np.isfinite(new_theta).all()):
         raise NumericalError("non-finite iterate after update")
     new_point = JointPoint._trusted(new_v, new_theta)
@@ -164,5 +154,6 @@ def bome_step(
         q_hat=q_hat,
         inner_result=inner,
         grad_qhat_norm=gq_norm,
+        velocity=velocity,
     )
     return new_point, solution

@@ -8,25 +8,9 @@ optimistic variant (which extrapolates with the previous gradient) converges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import BilevelOracle, JointGradient, JointPoint
-
-
-class BaselineKind:
-    NAIVE_GDA = "gda"
-    OPTIMISTIC_GD = "ogd"
-
-
-@dataclass
-class PrevGrads:
-    """Payoff gradients remembered from the previous optimistic step."""
-
-    dv: np.ndarray
-    dtheta: np.ndarray
 
 
 def gda_step(oracle: BilevelOracle, point: JointPoint, xi: float) -> JointPoint:
@@ -38,21 +22,23 @@ def gda_step(oracle: BilevelOracle, point: JointPoint, xi: float) -> JointPoint:
 def ogd_step(
     oracle: BilevelOracle,
     point: JointPoint,
-    prev_grads: Optional[PrevGrads],
+    prev_grads: Optional[JointGradient],
     xi: float,
-) -> tuple[JointPoint, PrevGrads]:
+) -> tuple[JointPoint, JointGradient]:
     """Optimistic update with two-step gradient memory.
 
     w_{k+1} = w_k - 2 xi G_k + xi G_{k-1}, with the ascent sign on the theta
     block; the first step (no history) uses G_{-1} = G_0 and so reduces to a
-    plain descent-ascent step.
+    plain descent-ascent step. Returns the new point and the payoff gradient
+    G_k to pass as ``prev_grads`` to the next step.
     """
     g = oracle.grad_f(point)
+    g = JointGradient(g.dv.copy(), g.dtheta.copy())
     if prev_grads is None:
-        prev_grads = PrevGrads(g.dv.copy(), g.dtheta.copy())
+        prev_grads = g
     new_v = point.v - 2.0 * xi * g.dv + xi * prev_grads.dv
     new_theta = point.theta + 2.0 * xi * g.dtheta - xi * prev_grads.dtheta
-    return JointPoint(new_v, new_theta), PrevGrads(g.dv.copy(), g.dtheta.copy())
+    return JointPoint(new_v, new_theta), g
 
 
 def baseline_direction(point: JointPoint, new_point: JointPoint, xi: float) -> JointGradient:

@@ -64,9 +64,23 @@ MAX_SWEEP_SIZE = 10_000
 _TOP_LEVEL_KEYS = {
     "problem", "problem_params", "method", "solver", "start", "output_path", "sweep",
 }
+# The solver schema: each JSON key, the SolverConfig field it sets, and the
+# argparse options of its run/sweep override flag (None: no flag). xi_v and
+# xi_theta together set separate_outer_steps; an unset one follows xi, as an
+# unset alpha does.
 _SOLVER_KEYS = {
-    "xi", "alpha", "T", "eta", "barrier", "iters", "momentum",
-    "kkt_every", "stop_kkt_tol", "seed", "xi_v", "xi_theta",
+    "xi": ("outer_step_xi", {"type": float}),
+    "alpha": ("inner_step_alpha", {"type": float}),
+    "T": ("inner_iters_T", {"type": int}),
+    "eta": ("eta", {"type": float}),
+    "barrier": ("barrier_kind", {"choices": [kind.value for kind in BarrierKind]}),
+    "iters": ("max_outer_iters_K", {"type": int}),
+    "momentum": ("momentum_beta", None),
+    "kkt_every": ("kkt_eval_every", None),
+    "stop_kkt_tol": ("stop_kkt_tol", None),
+    "seed": ("rng_seed", {"type": int}),
+    "xi_v": ("xi_v", None),
+    "xi_theta": ("xi_theta", None),
 }
 _METHODS = {"bome": Method.BOME, "gda": Method.NAIVE_GDA, "ogd": Method.OPTIMISTIC_GD}
 
@@ -81,6 +95,9 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
     method: str = "bome"
     solver: SolverConfig = field(default_factory=SolverConfig)
+    # the solver object as written; sweep cells and flag overrides edit it and
+    # parse it again, so unset keys keep following the keys they default to
+    solver_spec: dict = field(default_factory=dict)
     start: Union[str, dict] = "default"
     output_path: Optional[str] = None
     sweep: Optional[dict] = None
@@ -171,7 +188,7 @@ PROBLEM_DESCRIPTIONS = {
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(mapping.keys() - allowed)
     if unknown:
         raise ConfigurationError(f"unknown {where} field(s): {', '.join(unknown)}")
 
@@ -206,32 +223,19 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
 
 def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
     _reject_unknown(raw, _SOLVER_KEYS, "solver")
-    kwargs = {}
-    mapping = {
-        "xi": "outer_step_xi",
-        "alpha": "inner_step_alpha",
-        "T": "inner_iters_T",
-        "eta": "eta",
-        "iters": "max_outer_iters_K",
-        "momentum": "momentum_beta",
-        "kkt_every": "kkt_eval_every",
-        "stop_kkt_tol": "stop_kkt_tol",
-        "seed": "rng_seed",
-    }
-    for key, attr in mapping.items():
-        if key in raw and raw[key] is not None:
-            kwargs[attr] = raw[key]
-    if raw.get("barrier") is not None:
-        barrier = raw["barrier"]
+    kwargs = {_SOLVER_KEYS[key][0]: val for key, val in raw.items() if val is not None}
+    if "barrier_kind" in kwargs:
+        barrier = kwargs.pop("barrier_kind")
         try:
             kwargs["barrier_kind"] = BarrierKind(barrier)
         except ValueError:
             errors.append(f"barrier must be 'gradnorm' or 'value', got {barrier!r}")
-    if raw.get("xi_v") is not None or raw.get("xi_theta") is not None:
-        xi = raw.get("xi", SolverConfig().outer_step_xi)
+    xi_v, xi_theta = kwargs.pop("xi_v", None), kwargs.pop("xi_theta", None)
+    if xi_v is not None or xi_theta is not None:
+        xi = kwargs.get("outer_step_xi", SolverConfig.outer_step_xi)
         kwargs["separate_outer_steps"] = (
-            float(raw.get("xi_v", xi)),
-            float(raw.get("xi_theta", xi)),
+            float(xi if xi_v is None else xi_v),
+            float(xi if xi_theta is None else xi_theta),
         )
     try:
         cfg = SolverConfig(**kwargs)
@@ -240,6 +244,16 @@ def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
     except ConfigurationError as exc:
         errors.append(str(exc))
         return SolverConfig()
+
+
+def _edit_solver(cfg: ExperimentConfig, edits: dict) -> None:
+    """Apply ``edits`` to the solver object as written and parse it again."""
+    spec = {**cfg.solver_spec, **edits}
+    errors: list[str] = []
+    cfg.solver = _solver_from_dict(spec, errors)
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    cfg.solver_spec = spec
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -292,7 +306,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("sweep must be a non-empty object mapping solver fields to lists")
             sweep = None
         else:
-            bad = sorted(set(sweep) - _SOLVER_KEYS)
+            bad = sorted(sweep.keys() - _SOLVER_KEYS)
             if bad:
                 errors.append(f"sweep keys must be solver fields, got: {', '.join(bad)}")
             elif any(not isinstance(vals, list) or not vals for vals in sweep.values()):
@@ -319,6 +333,7 @@ def parse_config(text: str) -> ExperimentConfig:
         problem_params=problem_params,
         method=method,
         solver=solver,
+        solver_spec=solver_raw,
         start=start,
         output_path=raw.get("output_path"),
         sweep=sweep,
@@ -339,13 +354,7 @@ def expand_sweep(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     for idx, combo in enumerate(combos):
         child = copy.deepcopy(cfg)
         child.sweep = None
-        errors: list[str] = []
-        solver_raw = {k: v for k, v in zip(keys, combo)}
-        base = _solver_to_dict(cfg.solver)
-        base.update(solver_raw)
-        child.solver = _solver_from_dict(base, errors)
-        if errors:
-            raise ConfigurationError("; ".join(errors))
+        _edit_solver(child, dict(zip(keys, combo)))
         if cfg.output_path is not None:
             stem, ext = os.path.splitext(cfg.output_path)
             child.output_path = f"{stem}_{idx:03d}{ext or '.csv'}"
@@ -354,20 +363,11 @@ def expand_sweep(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 
 def _solver_to_dict(cfg: SolverConfig) -> dict:
-    out = {
-        "xi": cfg.outer_step_xi,
-        "alpha": cfg.inner_step_alpha,
-        "T": cfg.inner_iters_T,
-        "eta": cfg.eta,
-        "barrier": cfg.barrier_kind.value,
-        "iters": cfg.max_outer_iters_K,
-        "momentum": cfg.momentum_beta,
-        "kkt_every": cfg.kkt_eval_every,
-        "stop_kkt_tol": cfg.stop_kkt_tol,
-        "seed": cfg.rng_seed,
-    }
-    if cfg.separate_outer_steps is not None:
-        out["xi_v"], out["xi_theta"] = cfg.separate_outer_steps
+    """The resolved solver settings under their JSON keys, for summaries."""
+    out = {key: getattr(cfg, attr) for key, (attr, _) in _SOLVER_KEYS.items()}
+    out["barrier"] = cfg.barrier_kind.value
+    if cfg.separate_outer_steps is None:
+        del out["xi_v"], out["xi_theta"]
     return out
 
 
@@ -475,15 +475,10 @@ def _resolve_output(path: Optional[str], default_name: str) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    raw = _solver_to_dict(cfg.solver)
-    for key in ("eta", "T", "alpha", "xi", "iters", "barrier", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    errors: list[str] = []
-    cfg.solver = _solver_from_dict(raw, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
+    flags = {key: getattr(args, key) for key, (_, flag) in _SOLVER_KEYS.items()
+             if flag is not None and getattr(args, key) is not None}
+    if flags:
+        _edit_solver(cfg, flags)
     if getattr(args, "out", None):
         cfg.output_path = args.out
     return cfg
@@ -568,13 +563,9 @@ def _cmd_list_problems() -> int:
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--barrier", choices=["gradnorm", "value"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key, (_, flag) in _SOLVER_KEYS.items():
+        if flag is not None:
+            p.add_argument(f"--{key}", default=None, **flag)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--jobs", type=int, default=1)
 

@@ -28,7 +28,7 @@ from .core import (
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import ZERO_GRAD_SQ_FLOOR, grad_q_hat, q_hat_value
+from .barrier_step import compute_lambda, grad_q_hat, q_hat_value
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
     DEFAULT_ATTRACTION_MAX_ITERS,
@@ -55,22 +55,12 @@ class KktReport:
     variant: KktVariant
 
 
-def closed_form_lambda_star(grad_f: JointGradient, grad_q: JointGradient) -> float:
-    """Minimizer of ||grad_f + lambda * grad_q||^2 over lambda >= 0.
-
-    Returns max(0, -<grad_f, grad_q> / ||grad_q||^2), and 0 when grad_q
-    vanishes.
-    """
-    sq = joint_dot(grad_q, grad_q)
-    if sq <= ZERO_GRAD_SQ_FLOOR:
-        return 0.0
-    return max(0.0, -joint_dot(grad_f, grad_q) / sq)
-
-
 def _assemble_report(
     grad_f: JointGradient, grad_q: JointGradient, q: float, variant: KktVariant
 ) -> KktReport:
-    lam = closed_form_lambda_star(grad_f, grad_q)
+    # the multiplier minimizing ||grad_f + lambda * grad_q||^2 over lambda >= 0
+    # is the barrier multiplier with phi = 0
+    lam = compute_lambda(grad_f, grad_q, 0.0)
     residual = joint_axpy(grad_f, lam, grad_q)
     local = joint_dot(residual, residual)
     return KktReport(
@@ -113,12 +103,13 @@ def kkt_proxy(oracle: BilevelOracle, point: JointPoint, cfg: SolverConfig) -> Kk
     """Stationarity report from the plug-in estimate.
 
     Runs its own inner descent with the run's (T, alpha) so the monitored
-    quantity matches what the solver sees at this point.
+    quantity matches what the solver sees at this point; q_hat comes from
+    that descent's own g evaluations, as in :func:`bome_step`.
     """
     inner = inner_descent(
         oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
     )
-    q = q_hat_value(oracle, point.v, point.theta, inner.theta_T)
+    q = inner.g_before - inner.g_after
     grad_q = grad_q_hat(oracle, point.v, point.theta, inner.theta_T)
     return _assemble_report(oracle.grad_f(point), grad_q, q, KktVariant.PROXY)
 

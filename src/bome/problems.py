@@ -130,14 +130,10 @@ def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MinimaxProblem:
-    """Scalar bilinear game; the unique solution is the origin."""
-
-
 def minimax_oracle() -> BilevelOracle:
-    """Oracle for the scalar game. No exact inner optimum exists: the inner
-    objective is unbounded below for v != 0."""
+    """Oracle for the scalar game, whose unique solution is the origin. No
+    exact inner optimum exists: the inner objective is unbounded below for
+    v != 0."""
 
     def eval_f(p: JointPoint) -> float:
         return float(p.v[0] * p.theta[0])
@@ -175,12 +171,9 @@ def minimax_oracle() -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DegenerateLLSProblem:
-    """f = ||theta - (v, 1)||^2, g = (theta_1 - v)^2."""
-
-
 def lls_oracle() -> BilevelOracle:
+    """Oracle for f = ||theta - (v, 1)||^2, g = (theta_1 - v)^2."""
+
     def eval_f(p: JointPoint) -> float:
         a = p.theta[0] - p.v[0]
         b = p.theta[1] - 1.0

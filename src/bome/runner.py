@@ -6,20 +6,24 @@ and apply the stopping rules.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     BilevelOracle,
+    JointGradient,
     JointPoint,
     NumericalError,
     SolverConfig,
     StepDiagnostics,
     validate_config,
 )
-from .barrier_step import MomentumState, bome_step
-from .baselines import PrevGrads, baseline_direction, gda_step, ogd_step
+from .barrier_step import bome_step
+from .baselines import baseline_direction, gda_step, ogd_step
 from .metrics import KktReport, kkt_exact, kkt_proxy
 
 
@@ -59,8 +63,12 @@ class Trace:
 
 def _score(oracle: BilevelOracle, point: JointPoint, cfg: SolverConfig) -> KktReport:
     if oracle.supports_exact_kkt():
-        return kkt_exact(oracle, point)
-    return kkt_proxy(oracle, point, cfg)
+        report = kkt_exact(oracle, point)
+    else:
+        report = kkt_proxy(oracle, point, cfg)
+    if not math.isfinite(report.total):
+        raise NumericalError("non-finite stationarity score")
+    return report
 
 
 def run(
@@ -76,16 +84,19 @@ def run(
     supports it, otherwise with the plug-in proxy, every
     ``cfg.kkt_eval_every`` iterations and on the last record. If
     ``cfg.stop_kkt_tol`` is set the run stops at the first scored iterate
-    meeting it, without applying that iterate's step. A non-finite iterate
-    ends the run with the trace retained up to the failure.
+    meeting it, without applying that iterate's step. A numerical failure
+    (a non-finite iterate, f, q_hat or score) ends the run with the trace
+    retained up to the failing iterate; a final f or score that fails is
+    ``None``.
     """
     validate_config(cfg, oracle.metadata)
     if isinstance(method, str):
         method = Method(method)
     point = start.copy()
     records: list[StepDiagnostics] = []
-    momentum = MomentumState.zeros(point) if cfg.momentum_beta > 0 else None
-    prev_grads: Optional[PrevGrads] = None
+    # bome_step ignores the velocity when momentum is off
+    velocity = JointGradient(np.zeros(point.m), np.zeros(point.n))
+    prev_grads: Optional[JointGradient] = None
     termination = Termination.MAX_ITERS
     K = cfg.max_outer_iters_K
 
@@ -93,7 +104,8 @@ def run(
         t0 = time.perf_counter()
         try:
             if method is Method.BOME:
-                new_point, sol = bome_step(oracle, point, cfg, momentum)
+                new_point, sol = bome_step(oracle, point, cfg, velocity)
+                velocity = sol.velocity
                 diag = StepDiagnostics(
                     iter_k=k,
                     f_value=float(oracle.eval_f(point)),
@@ -120,12 +132,14 @@ def run(
                     delta_norm=direction.norm(),
                     grad_qhat_norm=0.0,
                 )
+            if not (math.isfinite(diag.f_value) and math.isfinite(diag.q_hat)):
+                raise NumericalError("non-finite objective or constraint estimate")
+            if k % cfg.kkt_eval_every == 0 or k == K - 1:
+                diag.kkt_value = _score(oracle, point, cfg).total
         except NumericalError:
             termination = Termination.NUMERICAL_ERROR
             break
 
-        if k % cfg.kkt_eval_every == 0 or k == K - 1:
-            diag.kkt_value = _score(oracle, point, cfg).total
         diag.wall_time_micros = int((time.perf_counter() - t0) * 1e6)
         records.append(diag)
 
@@ -138,13 +152,14 @@ def run(
             break
         point = new_point
 
+    final_f = float(oracle.eval_f(point))
     trace = Trace(
         records=records,
         config_snapshot=cfg,
         problem_name=oracle.name,
         termination=termination,
         final_point=point,
-        final_f=float(oracle.eval_f(point)),
+        final_f=final_f if math.isfinite(final_f) else None,
         method=method,
         kkt_variant="exact" if oracle.supports_exact_kkt() else "proxy",
     )

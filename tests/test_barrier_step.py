@@ -7,7 +7,6 @@ from bome import (
     BarrierKind,
     JointGradient,
     JointPoint,
-    MomentumState,
     SolverConfig,
     bome_step,
     compute_lambda,
@@ -278,11 +277,12 @@ class TestBomeStep:
         oracle = quadratic_pl_oracle()
         beta = 0.9
         cfg = SolverConfig(outer_step_xi=0.01, momentum_beta=beta)
-        state = MomentumState.zeros(JointPoint([1.0, 1.0], [1.0, 1.0]))
+        velocity = JointGradient(np.zeros(2), np.zeros(2))
         p0 = JointPoint([2.0, -1.0], [3.0, 3.0])
-        p1, s1 = bome_step(oracle, p0, cfg, state)
+        p1, s1 = bome_step(oracle, p0, cfg, velocity)
         v1 = (s1.delta.dv.copy(), s1.delta.dtheta.copy())
-        p2, s2 = bome_step(oracle, p1, cfg, state)
+        p2, s2 = bome_step(oracle, p1, cfg, s1.velocity)
+        state = s2.velocity
         # velocity after two steps: beta * delta_1 + delta_2
         np.testing.assert_allclose(state.dv, beta * v1[0] + s2.delta.dv, rtol=1e-12)
         np.testing.assert_allclose(state.dtheta, beta * v1[1] + s2.delta.dtheta, rtol=1e-12)

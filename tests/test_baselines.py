@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bome import JointPoint, PrevGrads, gda_step, minimax_oracle, ogd_step
+from bome import JointGradient, JointPoint, gda_step, minimax_oracle, ogd_step
 
 
 def exact_gda_map(v, th, xi):
@@ -67,7 +67,7 @@ class TestOgdStep:
         oracle = minimax_oracle()
         pt = JointPoint([2.0], [-1.0])
         g = oracle.grad_f(pt)
-        hist = PrevGrads(g.dv.copy(), g.dtheta.copy())
+        hist = JointGradient(g.dv.copy(), g.dtheta.copy())
         new, _ = ogd_step(oracle, pt, hist, xi=0.1)
         ref = gda_step(oracle, pt, xi=0.1)
         assert new.v[0] == ref.v[0] and new.theta[0] == ref.theta[0]

@@ -110,6 +110,20 @@ class TestParseConfig:
         assert cfg.solver.xi_v == 1.0
         assert cfg.solver.xi_theta == 0.01
 
+    def test_sweep_over_xi_moves_unset_alpha(self):
+        doc = {"problem": "minimax", "sweep": {"xi": [0.01, 0.1]}}
+        plans = expand_sweep(parse_config(json.dumps(doc)))
+        assert [p.solver.inner_step_alpha for p in plans] == [0.01, 0.1]
+        doc["solver"] = {"alpha": 0.2}
+        plans = expand_sweep(parse_config(json.dumps(doc)))
+        assert [p.solver.outer_step_xi for p in plans] == [0.01, 0.1]
+        assert [p.solver.inner_step_alpha for p in plans] == [0.2, 0.2]
+
+    def test_sweep_over_xi_moves_unset_separate_step(self):
+        doc = {"problem": "minimax", "solver": {"xi_v": 1.0}, "sweep": {"xi": [0.01, 0.1]}}
+        plans = expand_sweep(parse_config(json.dumps(doc)))
+        assert [p.solver.separate_outer_steps for p in plans] == [(1.0, 0.01), (1.0, 0.1)]
+
     def test_unknown_problem_params_rejected(self):
         with pytest.raises(ConfigurationError, match="problem_params"):
             parse_config('{"problem": "ridge", "problem_params": {"samples": 10}}')
@@ -233,6 +247,18 @@ class TestCliMain:
         assert payload[0]["config"]["iters"] == 5
         assert payload[0]["config"]["eta"] == 0.9
         assert payload[0]["config"]["barrier"] == "value"
+
+    @pytest.mark.parametrize("solver, alpha", [({}, 0.1), ({"alpha": 0.2}, 0.2)])
+    def test_xi_flag_moves_unset_alpha(self, tmp_path, solver, alpha):
+        out = tmp_path / "mm.csv"
+        cfg = self.write_config(
+            tmp_path,
+            {"problem": "minimax", "solver": dict(solver, iters=3), "output_path": str(out)},
+        )
+        assert main(["run", str(cfg), "--xi", "0.1"]) == 0
+        payload = json.loads(out.with_suffix(".summary.json").read_text())
+        assert payload[0]["config"]["xi"] == 0.1
+        assert payload[0]["config"]["alpha"] == alpha
 
     def test_identical_configs_identical_csv_excluding_wall_time(self, tmp_path):
         doc = {

@@ -10,7 +10,8 @@ from bome import (
     MissingOracleCapability,
     NotConvergedError,
     SolverConfig,
-    closed_form_lambda_star,
+    bome_step,
+    compute_lambda,
     coreset_oracle,
     kkt_attraction,
     kkt_exact,
@@ -30,15 +31,17 @@ vec2 = st.lists(finite_floats, min_size=2, max_size=2).map(np.array)
 
 
 class TestClosedFormLambdaStar:
+    """The score's lambda* is the barrier multiplier with phi = 0."""
+
     def test_orthogonal_gradients(self):
         gf = JointGradient(np.array([1.0, 0.0]), np.zeros(1))
         gq = JointGradient(np.array([0.0, 1.0]), np.zeros(1))
-        assert closed_form_lambda_star(gf, gq) == 0.0
+        assert compute_lambda(gf, gq, 0.0) == 0.0
 
     def test_exact_cancellation(self):
         gq = JointGradient(np.array([0.6]), np.array([0.8]))
         gf = JointGradient(-2.0 * gq.dv, -2.0 * gq.dtheta)
-        lam = closed_form_lambda_star(gf, gq)
+        lam = compute_lambda(gf, gq, 0.0)
         assert lam == pytest.approx(2.0, rel=1e-14)
         resid = np.concatenate([gf.dv + lam * gq.dv, gf.dtheta + lam * gq.dtheta])
         assert np.linalg.norm(resid) < 1e-14
@@ -46,13 +49,13 @@ class TestClosedFormLambdaStar:
     def test_zero_constraint_gradient(self):
         gf = JointGradient(np.ones(3), np.ones(2))
         gq = JointGradient(np.zeros(3), np.zeros(2))
-        assert closed_form_lambda_star(gf, gq) == 0.0
+        assert compute_lambda(gf, gq, 0.0) == 0.0
 
     def test_matches_grid_search(self, rng):
         for _ in range(30):
             gf = JointGradient(rng.standard_normal(5), rng.standard_normal(5))
             gq = JointGradient(rng.standard_normal(5), rng.standard_normal(5))
-            assert closed_form_lambda_star(gf, gq) == pytest.approx(
+            assert compute_lambda(gf, gq, 0.0) == pytest.approx(
                 brute_lambda_star(gf, gq), abs=1e-8
             )
 
@@ -63,8 +66,8 @@ class TestClosedFormLambdaStar:
         # residual norm unchanged
         gf = JointGradient(fv, ft)
         gq = JointGradient(qv, qt)
-        lam = closed_form_lambda_star(gf, gq)
-        lam_scaled = closed_form_lambda_star(gf, JointGradient(c * qv, c * qt))
+        lam = compute_lambda(gf, gq, 0.0)
+        lam_scaled = compute_lambda(gf, JointGradient(c * qv, c * qt), 0.0)
         assert lam_scaled * c == pytest.approx(lam, rel=1e-9, abs=1e-12)
         r1 = np.concatenate([gf.dv + lam * qv, gf.dtheta + lam * qt])
         r2 = np.concatenate([gf.dv + lam_scaled * c * qv, gf.dtheta + lam_scaled * c * qt])
@@ -152,6 +155,21 @@ class TestKktProxy:
             gaps.append(abs(kkt_proxy(oracle, p, cfg).total - exact))
         assert all(b < 0.9 * a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3 * gaps[0]
+
+
+    @pytest.mark.parametrize("make_oracle, point", [
+        (minimax_oracle, JointPoint([1.0], [1.0])),
+        (minimax_oracle, JointPoint([-0.3], [2.5])),
+        (coreset_oracle, JointPoint(np.zeros(4), [0.0, 3.0])),
+        (coreset_oracle, JointPoint([0.5, -1.0, 0.2, 0.0], [-3.0, 1.0])),
+    ])
+    def test_feasibility_is_the_step_q_hat(self, make_oracle, point):
+        # one q_hat: the proxy score and the step read it from the same
+        # inner descent, so they agree exactly
+        oracle = make_oracle()
+        for cfg in (SolverConfig(), SolverConfig(inner_step_alpha=0.25, inner_iters_T=3)):
+            _, sol = bome_step(oracle, point, cfg)
+            assert kkt_proxy(oracle, point, cfg).feasibility == sol.q_hat
 
 
 class TestKktAttraction:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bome import (
     JointPoint,
     Method,
+    NumericalError,
     SolverConfig,
     Termination,
     coreset_oracle,
@@ -178,6 +181,57 @@ class TestRun:
         cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=3)
         trace = run(oracle, JointPoint([1.0], [1.0]), cfg, "gda")
         assert trace.method is Method.NAIVE_GDA
+
+
+def fail_from_call(fn, first_bad_call, fault):
+    """Wrap ``fn`` so that its calls from ``first_bad_call`` on raise a
+    NumericalError (``fault="raise"``) or return NaN (``fault="nan"``)."""
+    calls = 0
+
+    def wrapped(*args):
+        nonlocal calls
+        calls += 1
+        out = fn(*args)
+        if calls < first_bad_call:
+            return out
+        if fault == "raise":
+            raise NumericalError("injected failure")
+        return np.full_like(np.asarray(out, dtype=float), np.nan)
+
+    return wrapped
+
+
+class TestFailuresEndTheRun:
+    """A failure ends the run as NUMERICAL_ERROR and keeps the trace up to the
+    failing iterate; no non-finite value reaches a record."""
+
+    START = JointPoint(np.zeros(4), [0.0, 3.0])
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    def test_failing_score_mid_run(self, fault):
+        # the scores at iterates 0 and 10 succeed, the one at 20 fails
+        oracle = coreset_oracle()
+        oracle = dataclasses.replace(
+            oracle, exact_inner_opt=fail_from_call(oracle.exact_inner_opt, 3, fault)
+        )
+        cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=100, kkt_eval_every=10)
+        trace = run(oracle, self.START, cfg)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert [r.iter_k for r in trace.records] == list(range(20))
+        scored = [r for r in trace.records if r.kkt_value is not None]
+        assert [r.iter_k for r in scored] == [0, 10]
+        assert all(np.isfinite(r.kkt_value) for r in scored)
+        assert trace.final_kkt is None
+
+    def test_non_finite_f_mid_run(self):
+        oracle = coreset_oracle()
+        oracle = dataclasses.replace(oracle, eval_f=fail_from_call(oracle.eval_f, 6, "nan"))
+        cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=100, kkt_eval_every=10)
+        trace = run(oracle, self.START, cfg)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert len(trace.records) == 5
+        assert all(np.isfinite(r.f_value) for r in trace.records)
+        assert trace.final_f is None
 
 
 class TestRunningMinKkt:
