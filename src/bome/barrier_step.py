@@ -41,12 +41,15 @@ class BarrierSolution:
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
     holds for it whenever grad_qhat is nonzero. ``velocity`` is the direction
     the step applied: the heavy-ball velocity beta * velocity + delta under
-    momentum, otherwise delta itself.
+    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat`` and ``q_hat``
+    are the plug-in quantities at the point the step was taken from, which is
+    all a proxy stationarity score there needs.
     """
 
     lam: float
     phi: float
     delta: JointGradient
+    grad_f: JointGradient
     grad_qhat: JointGradient
     q_hat: float
     inner_result: InnerResult
@@ -150,6 +153,7 @@ def bome_step(
         lam=lam,
         phi=phi,
         delta=delta,
+        grad_f=gf,
         grad_qhat=gq,
         q_hat=q_hat,
         inner_result=inner,

@@ -440,6 +440,7 @@ def summarize_trace(trace: Trace) -> dict:
         "final_kkt": None if trace.final_kkt is None else trace.final_kkt.total,
         "kkt_variant": trace.kkt_variant,
         "total_wall_us": int(sum(r.wall_time_micros for r in trace.records)),
+        "warnings": list(trace.warnings),
     }
     kkts = [r.kkt_value for r in trace.records if r.kkt_value is not None]
     if trace.final_kkt is not None:
@@ -511,6 +512,8 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
             csv_path = csv_path.with_name(f"{csv_path.stem}_{idx:03d}{csv_path.suffix}")
         emit_trace_csv(trace, csv_path)
         print(f"wrote {csv_path}")
+        for warning in trace.warnings:
+            print(f"warning: {csv_path}: {warning}", file=sys.stderr)
     summary_base = cfg.output_path or f"{default_stem}.csv"
     summary_path = _resolve_output(summary_base, summary_base)
     summary_path = summary_path.with_suffix(".summary.json")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import compute_lambda, grad_q_hat, q_hat_value
+from .barrier_step import BarrierSolution, compute_lambda, grad_q_hat, q_hat_value
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
     DEFAULT_ATTRACTION_MAX_ITERS,
@@ -99,13 +100,24 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     return _assemble_report(oracle.grad_f(point), grad_q, q, KktVariant.EXACT)
 
 
-def kkt_proxy(oracle: BilevelOracle, point: JointPoint, cfg: SolverConfig) -> KktReport:
+def kkt_proxy(
+    oracle: BilevelOracle,
+    point: JointPoint,
+    cfg: SolverConfig,
+    step: Optional[BarrierSolution] = None,
+) -> KktReport:
     """Stationarity report from the plug-in estimate.
 
-    Runs its own inner descent with the run's (T, alpha) so the monitored
-    quantity matches what the solver sees at this point; q_hat comes from
-    that descent's own g evaluations, as in :func:`bome_step`.
+    Given ``step``, the :func:`bome_step` taken at ``point`` with ``cfg``,
+    the report is assembled from that step's grad f, grad q_hat and q_hat and
+    makes no oracle call; those are exactly the quantities the standalone path
+    would compute again. Without it, runs its own inner descent with the run's
+    (T, alpha) so the monitored quantity matches what the solver sees at this
+    point; q_hat comes from that descent's own g evaluations, as in
+    :func:`bome_step`.
     """
+    if step is not None:
+        return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, KktVariant.PROXY)
     inner = inner_descent(
         oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
     )

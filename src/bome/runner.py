@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .core import (
     StepDiagnostics,
     validate_config,
 )
-from .barrier_step import bome_step
+from .barrier_step import BarrierSolution, bome_step
 from .baselines import baseline_direction, gda_step, ogd_step
 from .metrics import KktReport, kkt_exact, kkt_proxy
 
@@ -46,7 +46,9 @@ class Trace:
     ``records[k]`` holds the quantities of the step taken at iterate k (the
     stationarity column is scored at that same iterate). ``final_kkt`` scores
     the point the run ended at, which for a completed run is one step past
-    the last record.
+    the last record. ``warnings`` are the step-size warnings
+    :func:`validate_config` gave for the config against the problem's declared
+    constants.
     """
 
     records: list[StepDiagnostics]
@@ -59,13 +61,21 @@ class Trace:
     dist_to_known_opt: Optional[float] = None
     kkt_variant: str = ""
     method: Method = Method.BOME
+    warnings: list[str] = field(default_factory=list)
 
 
-def _score(oracle: BilevelOracle, point: JointPoint, cfg: SolverConfig) -> KktReport:
+def _score(
+    oracle: BilevelOracle,
+    point: JointPoint,
+    cfg: SolverConfig,
+    step: Optional[BarrierSolution] = None,
+) -> KktReport:
+    """Score ``point``; ``step`` is the BOME step taken there, if any, whose
+    plug-in quantities a proxy score reuses."""
     if oracle.supports_exact_kkt():
         report = kkt_exact(oracle, point)
     else:
-        report = kkt_proxy(oracle, point, cfg)
+        report = kkt_proxy(oracle, point, cfg, step=step)
     if not math.isfinite(report.total):
         raise NumericalError("non-finite stationarity score")
     return report
@@ -89,7 +99,7 @@ def run(
     retained up to the failing iterate; a final f or score that fails is
     ``None``.
     """
-    validate_config(cfg, oracle.metadata)
+    warnings = validate_config(cfg, oracle.metadata)
     if isinstance(method, str):
         method = Method(method)
     point = start.copy()
@@ -99,6 +109,7 @@ def run(
     prev_grads: Optional[JointGradient] = None
     termination = Termination.MAX_ITERS
     K = cfg.max_outer_iters_K
+    sol: Optional[BarrierSolution] = None
 
     for k in range(K):
         t0 = time.perf_counter()
@@ -135,7 +146,7 @@ def run(
             if not (math.isfinite(diag.f_value) and math.isfinite(diag.q_hat)):
                 raise NumericalError("non-finite objective or constraint estimate")
             if k % cfg.kkt_eval_every == 0 or k == K - 1:
-                diag.kkt_value = _score(oracle, point, cfg).total
+                diag.kkt_value = _score(oracle, point, cfg, sol).total
         except NumericalError:
             termination = Termination.NUMERICAL_ERROR
             break
@@ -161,6 +172,7 @@ def run(
         final_point=point,
         final_f=final_f if math.isfinite(final_f) else None,
         method=method,
+        warnings=warnings,
         kkt_variant="exact" if oracle.supports_exact_kkt() else "proxy",
     )
     try:

@@ -330,6 +330,39 @@ class TestCliMain:
         )
         assert main(["run", str(cfg)]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_size_warnings_reach_stderr_and_summary(self, tmp_path, capsys):
+        # the default xi = alpha = 0.05 is past ridge's declared 1/L, so the
+        # run diverges in its first step; both warnings say why
+        out = tmp_path / "ridge.csv"
+        cfg = self.write_config(tmp_path, {"problem": "ridge", "output_path": str(out)})
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "hit a numerical error" in err
+        entry = json.loads(out.with_suffix(".summary.json").read_text())[0]
+        assert [w.split(":")[0] for w in entry["warnings"]] == ["xi > 1/L", "alpha > 1/L"]
+        for warning in entry["warnings"]:
+            assert f"warning: {out}: {warning}" in err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and all(line.count(",") == 8 for line in lines)
+        assert [row["k"] for row in read_trace_csv(out)] == [0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_warnings_in_grid_order(self, tmp_path, capsys):
+        out = tmp_path / "ridge.csv"
+        cfg = self.write_config(
+            tmp_path,
+            {"problem": "ridge", "solver": {"iters": 3},
+             "sweep": {"xi": [0.05, 0.001, 0.04]}, "output_path": str(out)},
+        )
+        assert main(["sweep", str(cfg), "--jobs", "2"]) == 1
+        warned = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        cells = [str(tmp_path / f"ridge_{idx:03d}.csv") for idx in (0, 0, 2, 2)]
+        assert warned == cells
+        payload = json.loads(out.with_suffix(".summary.json").read_text())
+        assert [len(entry["warnings"]) for entry in payload] == [2, 0, 2]
+
     def test_exit_code_on_config_error(self, tmp_path):
         cfg = self.write_config(tmp_path, {"problem": "nonexistent"})
         assert main(["run", str(cfg)]) == 2

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bome import (
+    BarrierKind,
     JointGradient,
     JointPoint,
     KktVariant,
@@ -13,11 +16,15 @@ from bome import (
     bome_step,
     compute_lambda,
     coreset_oracle,
+    hyperclean_oracle,
     kkt_attraction,
     kkt_exact,
     kkt_proxy,
     lls_oracle,
+    make_synthetic_hyperclean,
+    make_synthetic_ridge,
     minimax_oracle,
+    ridge_oracle,
     run,
 )
 from conftest import (
@@ -170,6 +177,65 @@ class TestKktProxy:
         for cfg in (SolverConfig(), SolverConfig(inner_step_alpha=0.25, inner_iters_T=3)):
             _, sol = bome_step(oracle, point, cfg)
             assert kkt_proxy(oracle, point, cfg).feasibility == sol.q_hat
+
+
+def _minimax_case(barrier, beta):
+    cfg = SolverConfig(barrier_kind=barrier, momentum_beta=beta)
+    return minimax_oracle(), JointPoint([1.0], [1.0]), cfg
+
+
+def _hyperclean_case():
+    prob = make_synthetic_hyperclean(seed=3, m_tr=40, m_val=16, p=4, corrupt_frac=0.3)
+    start = JointPoint(0.5 * np.ones(prob.n_train), np.zeros(prob.theta_dim))
+    return hyperclean_oracle(prob), start, SolverConfig(outer_step_xi=0.002)
+
+
+def _lls_case():
+    return lls_oracle(), JointPoint([0.0], [0.0, 3.0]), SolverConfig(outer_step_xi=0.02)
+
+
+def _ridge_case():
+    oracle = ridge_oracle(make_synthetic_ridge(seed=0, m_tr=50, m_val=30, p=5, noise=0.1))
+    # half of 1/L: below both step-size warnings
+    step = 0.5 / oracle.metadata.smoothness_L
+    start = JointPoint(np.zeros(5), np.zeros(5))
+    return oracle, start, SolverConfig(outer_step_xi=step, inner_step_alpha=step)
+
+
+class TestKktProxyFromStep:
+    """A proxy score at a BOME iterate reuses that step's plug-in quantities
+    and equals the standalone score there exactly."""
+
+    @pytest.mark.parametrize("case", [
+        lambda: _minimax_case(BarrierKind.GRAD_NORM_SQ, 0.0),
+        lambda: _minimax_case(BarrierKind.GRAD_NORM_SQ, 0.5),
+        lambda: _minimax_case(BarrierKind.VALUE, 0.0),
+        lambda: _minimax_case(BarrierKind.VALUE, 0.5),
+        _hyperclean_case,
+        _lls_case,
+        _ridge_case,
+    ], ids=["minimax-gradnorm", "minimax-gradnorm-momentum", "minimax-value",
+            "minimax-value-momentum", "hyperclean", "lls", "ridge"])
+    def test_run_scores_equal_standalone_proxy(self, case):
+        oracle, start, cfg = case()
+        # without an exact capability run() scores every iterate by proxy
+        oracle = dataclasses.replace(
+            oracle, exact_inner_opt=None, exact_value=None, exact_value_grad=None
+        )
+        cfg = dataclasses.replace(cfg, max_outer_iters_K=30, kkt_eval_every=1)
+        trace = run(oracle, start, cfg)
+        assert trace.kkt_variant == "proxy" and len(trace.records) == 30
+
+        point = start.copy()
+        velocity = JointGradient(np.zeros(point.m), np.zeros(point.n))
+        for rec in trace.records:
+            standalone = kkt_proxy(oracle, point, cfg)
+            new_point, sol = bome_step(oracle, point, cfg, velocity)
+            assert kkt_proxy(oracle, point, cfg, step=sol) == standalone
+            assert rec.kkt_value == standalone.total
+            point, velocity = new_point, sol.velocity
+        assert np.array_equal(point.v, trace.final_point.v)
+        assert np.array_equal(point.theta, trace.final_point.theta)
 
 
 class TestKktAttraction:

@@ -183,6 +183,37 @@ class TestRun:
         assert trace.method is Method.NAIVE_GDA
 
 
+class TestOracleCalls:
+    @pytest.mark.parametrize("K", [1, 40])
+    def test_proxy_scored_bome_run_call_formula(self, K):
+        # each step runs T inner steps and scores its own iterate from the
+        # step's plug-in quantities; only the final score runs its own inner
+        # descent (minimax never exits inner descent early from (1, 1))
+        calls = dict.fromkeys(["eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta"], 0)
+
+        def counted(kind, fn):
+            def wrapped(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapped
+
+        oracle = minimax_oracle()
+        oracle = dataclasses.replace(
+            oracle, **{kind: counted(kind, getattr(oracle, kind)) for kind in calls}
+        )
+        cfg = SolverConfig(inner_iters_T=10, max_outer_iters_K=K, kkt_eval_every=1)
+        trace = run(oracle, JointPoint([1.0], [1.0]), cfg)
+        assert len(trace.records) == K
+        assert all(r.kkt_value is not None for r in trace.records)
+        assert calls == {
+            "eval_f": K + 1,
+            "grad_f": K + 1,
+            "eval_g": 2 * (K + 1),
+            "grad_g": 2 * (K + 1),
+            "grad_g_theta": 10 * (K + 1),
+        }
+
+
 def fail_from_call(fn, first_bad_call, fault):
     """Wrap ``fn`` so that its calls from ``first_bad_call`` on raise a
     NumericalError (``fault="raise"``) or return NaN (``fault="nan"``)."""
