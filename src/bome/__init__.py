@@ -18,7 +18,7 @@ from .core import (
     StepDiagnostics,
     validate_config,
 )
-from .inner_loop import InnerResult, NotConverged, attraction_point, inner_descent
+from .inner_loop import InnerResult, attraction_point, inner_descent
 from .barrier_step import (
     BarrierSolution,
     bome_step,
@@ -76,7 +76,6 @@ __all__ = [
     "KktVariant",
     "Method",
     "MissingOracleCapability",
-    "NotConverged",
     "NotConvergedError",
     "NumericalError",
     "ProblemMetadata",

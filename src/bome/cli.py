@@ -234,8 +234,8 @@ def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
     if xi_v is not None or xi_theta is not None:
         xi = kwargs.get("outer_step_xi", SolverConfig.outer_step_xi)
         kwargs["separate_outer_steps"] = (
-            float(xi if xi_v is None else xi_v),
-            float(xi if xi_theta is None else xi_theta),
+            xi if xi_v is None else xi_v,
+            xi if xi_theta is None else xi_theta,
         )
     try:
         cfg = SolverConfig(**kwargs)
@@ -325,6 +325,10 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("problem_params must be an object")
         problem_params = {}
 
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        errors.append(f"output_path must be a string, got {output_path!r}")
+
     if errors:
         raise ConfigurationError("; ".join(errors))
 
@@ -335,29 +339,37 @@ def parse_config(text: str) -> ExperimentConfig:
         solver=solver,
         solver_spec=solver_raw,
         start=start,
-        output_path=raw.get("output_path"),
+        output_path=output_path,
         sweep=sweep,
     )
-    # Problem params and start preset are validated by actually building.
-    build_experiment(cfg)
+    # Problem params and start are validated by actually building; the
+    # builders and JointPoint reject malformed values with these errors.
+    try:
+        build_experiment(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"cannot build {problem!r}: {exc}") from exc
     return cfg
+
+
+def _output_name(cfg: ExperimentConfig) -> str:
+    return cfg.output_path or f"{cfg.problem}_{cfg.method}.csv"
 
 
 def expand_sweep(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Materialize the sweep cross-product as concrete single-run configs,
-    ordered by grid index."""
+    ordered by grid index, each writing to the output name plus its index
+    (``x.csv`` -> ``x_000.csv``). A config without a sweep is its own cell."""
     if not cfg.sweep:
         return [cfg]
     keys = sorted(cfg.sweep)
     combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
+    stem, ext = os.path.splitext(_output_name(cfg))
     out = []
     for idx, combo in enumerate(combos):
         child = copy.deepcopy(cfg)
         child.sweep = None
         _edit_solver(child, dict(zip(keys, combo)))
-        if cfg.output_path is not None:
-            stem, ext = os.path.splitext(cfg.output_path)
-            child.output_path = f"{stem}_{idx:03d}{ext or '.csv'}"
+        child.output_path = f"{stem}_{idx:03d}{ext or '.csv'}"
         out.append(child)
     return out
 
@@ -466,8 +478,8 @@ def emit_summary_json(traces: list[Trace], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_output(path: Optional[str], default_name: str) -> Path:
-    out = Path(path) if path else Path(default_name)
+def _resolve_output(name: str) -> Path:
+    out = Path(name)
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir and not out.is_absolute():
         out = Path(outdir) / out
@@ -505,18 +517,13 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             traces = list(pool.map(_run_one, configs))
 
-    default_stem = f"{cfg.problem}_{cfg.method}"
-    for idx, (sub_cfg, trace) in enumerate(zip(configs, traces)):
-        csv_path = _resolve_output(sub_cfg.output_path, f"{default_stem}.csv")
-        if is_sweep and sub_cfg.output_path is None:
-            csv_path = csv_path.with_name(f"{csv_path.stem}_{idx:03d}{csv_path.suffix}")
+    for sub_cfg, trace in zip(configs, traces):
+        csv_path = _resolve_output(_output_name(sub_cfg))
         emit_trace_csv(trace, csv_path)
         print(f"wrote {csv_path}")
         for warning in trace.warnings:
             print(f"warning: {csv_path}: {warning}", file=sys.stderr)
-    summary_base = cfg.output_path or f"{default_stem}.csv"
-    summary_path = _resolve_output(summary_base, summary_base)
-    summary_path = summary_path.with_suffix(".summary.json")
+    summary_path = _resolve_output(_output_name(cfg)).with_suffix(".summary.json")
     emit_summary_json(traces, summary_path)
     print(f"wrote {summary_path}")
 

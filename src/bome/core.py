@@ -13,6 +13,7 @@ solver never differentiates anything itself.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,11 +37,13 @@ class MissingOracleCapability(BilevelError):
 
 
 class NotConvergedError(BilevelError):
-    """An iterative subroutine hit its budget before reaching tolerance."""
+    """An iterative subroutine spent its budget of ``iters`` iterations before
+    reaching tolerance; ``last_theta`` is its last iterate and ``grad_norm``
+    the gradient norm there."""
 
-    def __init__(self, message: str, marker=None):
+    def __init__(self, message: str, last_theta: np.ndarray, grad_norm: float, iters: int):
         super().__init__(message)
-        self.marker = marker
+        self.last_theta, self.grad_norm, self.iters = last_theta, grad_norm, iters
 
 
 _FLOAT = np.dtype(float)
@@ -164,13 +167,11 @@ class BilevelOracle:
     ``grad_g``) dimensionally consistent with the input point.
 
     Optional capabilities:
-        exact_inner_opt: v -> theta*(v), the closed-form inner minimizer.
-        exact_value: v -> min_theta g(v, theta). For problems whose inner
-            minimizer is non-unique but whose optimal value is known.
-        exact_value_grad: v -> gradient of the exact value function. With
-            a unique minimizer this equals the partial v-gradient of g at
-            (v, theta*(v)); supplying it lets exact stationarity reports
-            work without ``exact_inner_opt``.
+        exact_inner_opt: v -> theta*(v), a closed-form inner minimizer (any
+            one, when they are not unique). That suffices for exact
+            stationarity: g(v, theta*(v)) is the optimal inner value, and the
+            partial v-gradient of g there is the value-function gradient, for
+            every minimizer.
         grad_g_theta: (v, theta) -> grad_theta g, a fast path for the inner
             loop that skips assembling the full joint gradient.
     """
@@ -180,8 +181,6 @@ class BilevelOracle:
     eval_g: Callable[[JointPoint], float]
     grad_g: Callable[[JointPoint], JointGradient]
     exact_inner_opt: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    exact_value: Optional[Callable[[np.ndarray], float]] = None
-    exact_value_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_g_theta: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     metadata: Optional[ProblemMetadata] = None
     name: str = ""
@@ -191,11 +190,6 @@ class BilevelOracle:
         if self.grad_g_theta is not None:
             return self.grad_g_theta(v, theta)
         return self.grad_g(JointPoint(v, theta)).dtheta
-
-    def supports_exact_kkt(self) -> bool:
-        if self.exact_inner_opt is not None:
-            return True
-        return self.exact_value is not None and self.exact_value_grad is not None
 
 
 class BarrierKind(enum.Enum):
@@ -260,35 +254,46 @@ class StepDiagnostics:
     wall_time_micros: int = 0
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -> list[str]:
     """Validate a solver configuration.
 
-    Hard violations (non-positive step sizes, bad iteration counts) raise
+    Hard violations (a non-numeric or non-positive step size, eta or
+    tolerance, a non-integer or out-of-range iteration count or seed) raise
     :class:`ConfigurationError` listing every violated constraint. Soft
     theory violations against declared problem constants are returned as
     human-readable warnings; the solver still runs with them.
     """
     errors = []
-    if not cfg.outer_step_xi > 0:
-        errors.append(f"outer_step_xi must be > 0, got {cfg.outer_step_xi}")
-    if not cfg.inner_step_alpha > 0:
-        errors.append(f"inner_step_alpha must be > 0, got {cfg.inner_step_alpha}")
-    if not cfg.eta > 0:
-        errors.append(f"eta must be > 0, got {cfg.eta}")
-    if cfg.inner_iters_T < 0:
-        errors.append(f"inner_iters_T must be >= 0, got {cfg.inner_iters_T}")
-    if cfg.max_outer_iters_K < 1:
-        errors.append(f"max_outer_iters_K must be >= 1, got {cfg.max_outer_iters_K}")
-    if cfg.kkt_eval_every < 1:
-        errors.append(f"kkt_eval_every must be >= 1, got {cfg.kkt_eval_every}")
-    if not 0.0 <= cfg.momentum_beta < 1.0:
-        errors.append(f"momentum_beta must lie in [0, 1), got {cfg.momentum_beta}")
-    if cfg.stop_kkt_tol is not None and not cfg.stop_kkt_tol > 0:
-        errors.append(f"stop_kkt_tol must be > 0 when set, got {cfg.stop_kkt_tol}")
-    if cfg.separate_outer_steps is not None:
-        xi_v, xi_theta = cfg.separate_outer_steps
-        if not xi_v > 0 or not xi_theta > 0:
-            errors.append(f"separate outer steps must be > 0, got ({xi_v}, {xi_theta})")
+    if not (_is_real(cfg.outer_step_xi) and cfg.outer_step_xi > 0):
+        errors.append(f"outer_step_xi must be a number > 0, got {cfg.outer_step_xi}")
+    if not (_is_real(cfg.inner_step_alpha) and cfg.inner_step_alpha > 0):
+        errors.append(f"inner_step_alpha must be a number > 0, got {cfg.inner_step_alpha}")
+    if not (_is_real(cfg.eta) and cfg.eta > 0):
+        errors.append(f"eta must be a number > 0, got {cfg.eta}")
+    if not (_is_int(cfg.inner_iters_T) and cfg.inner_iters_T >= 0):
+        errors.append(f"inner_iters_T must be an integer >= 0, got {cfg.inner_iters_T}")
+    if not (_is_int(cfg.max_outer_iters_K) and cfg.max_outer_iters_K >= 1):
+        errors.append(f"max_outer_iters_K must be an integer >= 1, got {cfg.max_outer_iters_K}")
+    if not (_is_int(cfg.kkt_eval_every) and cfg.kkt_eval_every >= 1):
+        errors.append(f"kkt_eval_every must be an integer >= 1, got {cfg.kkt_eval_every}")
+    if not (_is_real(cfg.momentum_beta) and 0.0 <= cfg.momentum_beta < 1.0):
+        errors.append(f"momentum_beta must be a number in [0, 1), got {cfg.momentum_beta}")
+    tol = cfg.stop_kkt_tol
+    if tol is not None and not (_is_real(tol) and tol > 0):
+        errors.append(f"stop_kkt_tol must be a number > 0 when set, got {tol}")
+    if not (_is_int(cfg.rng_seed) and cfg.rng_seed >= 0):
+        errors.append(f"rng_seed must be an integer >= 0, got {cfg.rng_seed}")
+    steps = cfg.separate_outer_steps
+    if steps is not None and not all(_is_real(step) and step > 0 for step in steps):
+        errors.append(f"separate outer steps must be numbers > 0, got {steps}")
     if errors:
         raise ConfigurationError("; ".join(errors))
 

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .core import BilevelOracle, JointPoint, NumericalError
+from .core import BilevelOracle, JointPoint, NotConvergedError, NumericalError
 
 # Gradient norms below this are treated as exactly stationary; the loop exits
 # early instead of burning oracle calls on zero updates.
@@ -28,15 +27,6 @@ class InnerResult:
     g_before: float
     g_after: float
     steps_taken: int
-
-
-@dataclass
-class NotConverged:
-    """Marker returned when the attraction-point loop hits its budget."""
-
-    last_theta: np.ndarray
-    grad_norm: float
-    iters: int
 
 
 def inner_descent(
@@ -83,13 +73,12 @@ def attraction_point(
     alpha: float,
     grad_tol: float = DEFAULT_ATTRACTION_GRAD_TOL,
     max_iters: int = DEFAULT_ATTRACTION_MAX_ITERS,
-) -> Union[np.ndarray, NotConverged]:
+) -> np.ndarray:
     """Iterate the inner recursion until the gradient (nearly) vanishes.
 
-    Returns the final iterate, or a :class:`NotConverged` marker carrying the
-    last iterate and its gradient norm if ``max_iters`` is exhausted first.
-    The marker is a value, not an error: callers decide whether a
-    non-converged basin is a failure.
+    Returns the final iterate. Raises :class:`NotConvergedError`, carrying
+    the last iterate, its gradient norm and ``max_iters``, if the budget is
+    exhausted first.
     """
     if not grad_tol > 0:
         raise ValueError(f"grad_tol must be > 0, got {grad_tol}")
@@ -108,4 +97,10 @@ def attraction_point(
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < grad_tol:
         return theta
-    return NotConverged(last_theta=theta, grad_norm=grad_norm, iters=max_iters)
+    raise NotConvergedError(
+        f"attraction point not reached within {max_iters} iterations "
+        f"(last gradient norm {grad_norm:.3g})",
+        last_theta=theta,
+        grad_norm=grad_norm,
+        iters=max_iters,
+    )

@@ -3,12 +3,14 @@
 The score is min_{lambda >= 0} ||grad f + lambda * grad q||^2 + q, the sum of
 a local-improvement term (how far grad f is from being blockable by the
 constraint gradient) and a feasibility term (the inner suboptimality q).
-Three variants differ only in how q and grad q are obtained:
+The variants take q = g(v, theta) - g(v, theta_ref) and its stop-gradient
+derivative (:func:`q_hat_value`, :func:`grad_q_hat`) against different
+reference inner points theta_ref:
 
-* exact      -- from the closed-form inner optimum or exact value function;
-* proxy      -- from the same T-step plug-in estimate the solver uses;
-* attraction -- against the basin-local minimum reached by running inner
-                gradient descent to convergence from the current theta.
+* exact      -- a closed-form inner minimizer theta*(v);
+* proxy      -- theta^(T), the same T-step plug-in estimate the solver uses;
+* attraction -- the basin-local minimum reached by running inner gradient
+                descent to convergence from the current theta.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .core import (
     JointGradient,
     JointPoint,
     MissingOracleCapability,
-    NotConvergedError,
     SolverConfig,
     joint_axpy,
     joint_dot,
@@ -33,7 +34,6 @@ from .barrier_step import BarrierSolution, compute_lambda, grad_q_hat, q_hat_val
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
     DEFAULT_ATTRACTION_MAX_ITERS,
-    NotConverged,
     attraction_point,
     inner_descent,
 )
@@ -73,31 +73,26 @@ def _assemble_report(
     )
 
 
-def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
-    """Stationarity report using the oracle's exact inner-optimum knowledge.
+def _score_against(
+    oracle: BilevelOracle, point: JointPoint, theta_ref: np.ndarray, variant: KktVariant
+) -> KktReport:
+    q = q_hat_value(oracle, point.v, point.theta, theta_ref)
+    grad_q = grad_q_hat(oracle, point.v, point.theta, theta_ref)
+    return _assemble_report(oracle.grad_f(point), grad_q, q, variant)
 
-    With ``exact_inner_opt``, q = g(v, theta) - g(v, theta*(v)) and the
-    v-block of grad q is grad_v g(v, theta) minus the partial v-gradient of g
-    at (v, theta*(v)) (the value-function gradient needs no derivative of
-    theta*). Problems with a non-unique minimizer may instead supply
-    ``exact_value`` and ``exact_value_grad``.
+
+def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
+    """Stationarity report against the oracle's closed-form inner minimizer.
+
+    The v-block of grad q is grad_v g(v, theta) minus the partial v-gradient
+    of g at (v, theta*(v)): the value-function gradient for any minimizer
+    theta*(v), with no derivative of theta*. Raises
+    :class:`MissingOracleCapability` without ``exact_inner_opt``.
     """
-    if oracle.exact_inner_opt is not None:
-        theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
-        at_star = JointPoint._trusted(point.v, theta_star)
-        g_at_star = oracle.grad_g(at_star)
-        q = float(oracle.eval_g(point) - oracle.eval_g(at_star))
-        value_grad = g_at_star.dv
-    elif oracle.exact_value is not None and oracle.exact_value_grad is not None:
-        q = float(oracle.eval_g(point) - oracle.exact_value(point.v))
-        value_grad = np.asarray(oracle.exact_value_grad(point.v), dtype=float)
-    else:
-        raise MissingOracleCapability(
-            "exact stationarity needs exact_inner_opt or an exact value function"
-        )
-    g_here = oracle.grad_g(point)
-    grad_q = JointGradient(dv=g_here.dv - value_grad, dtheta=g_here.dtheta)
-    return _assemble_report(oracle.grad_f(point), grad_q, q, KktVariant.EXACT)
+    if oracle.exact_inner_opt is None:
+        raise MissingOracleCapability("exact stationarity needs exact_inner_opt")
+    theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
+    return _score_against(oracle, point, theta_star, KktVariant.EXACT)
 
 
 def kkt_proxy(
@@ -137,15 +132,9 @@ def kkt_attraction(
 
     Feasibility is measured within the basin that inner gradient descent
     reaches from theta, so on multimodal inner objectives the score reflects
-    the local rather than the global minimum.
+    the local rather than the global minimum. Raises
+    :class:`NotConvergedError` if inner descent does not reach the
+    attraction point within ``max_iters`` iterations.
     """
     target = attraction_point(oracle, point.v, point.theta, alpha, tol, max_iters)
-    if isinstance(target, NotConverged):
-        raise NotConvergedError(
-            f"attraction point not reached within {target.iters} iterations "
-            f"(last gradient norm {target.grad_norm:.3g})",
-            marker=target,
-        )
-    q = q_hat_value(oracle, point.v, point.theta, target)
-    grad_q = grad_q_hat(oracle, point.v, point.theta, target)
-    return _assemble_report(oracle.grad_f(point), grad_q, q, KktVariant.ATTRACTION)
+    return _score_against(oracle, point, target, KktVariant.ATTRACTION)

@@ -165,8 +165,8 @@ def minimax_oracle() -> BilevelOracle:
 
 
 # ---------------------------------------------------------------------------
-# Degenerate linear least squares: the inner minimizers form a line, but the
-# optimal inner value is identically zero, which is exposed so exact
+# Degenerate linear least squares: the inner minimizers form the line
+# theta_1 = v. Any point on it serves as the exact inner minimizer, so exact
 # stationarity reports stay available without a singleton minimizer.
 # ---------------------------------------------------------------------------
 
@@ -201,8 +201,7 @@ def lls_oracle() -> BilevelOracle:
         eval_g=eval_g,
         grad_g=grad_g,
         grad_g_theta=grad_g_theta,
-        exact_value=lambda v: 0.0,
-        exact_value_grad=lambda v: np.zeros(1),
+        exact_inner_opt=lambda v: np.array([v[0], 0.0]),
         name="lls",
     )
 

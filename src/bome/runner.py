@@ -72,7 +72,7 @@ def _score(
 ) -> KktReport:
     """Score ``point``; ``step`` is the BOME step taken there, if any, whose
     plug-in quantities a proxy score reuses."""
-    if oracle.supports_exact_kkt():
+    if oracle.exact_inner_opt is not None:
         report = kkt_exact(oracle, point)
     else:
         report = kkt_proxy(oracle, point, cfg, step=step)
@@ -173,7 +173,7 @@ def run(
         final_f=final_f if math.isfinite(final_f) else None,
         method=method,
         warnings=warnings,
-        kkt_variant="exact" if oracle.supports_exact_kkt() else "proxy",
+        kkt_variant="exact" if oracle.exact_inner_opt is not None else "proxy",
     )
     try:
         trace.final_kkt = _score(oracle, point, cfg)

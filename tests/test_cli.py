@@ -363,6 +363,46 @@ class TestCliMain:
         payload = json.loads(out.with_suffix(".summary.json").read_text())
         assert [len(entry["warnings"]) for entry in payload] == [2, 0, 2]
 
+    @pytest.mark.parametrize("command, doc", [
+        ("run", {"problem": "minimax", "solver": {"T": 2.5}}),
+        ("run", {"problem": "minimax", "solver": {"iters": 2.5}}),
+        ("run", {"problem": "minimax", "solver": {"xi": "abc"}}),
+        ("run", {"problem": "minimax", "solver": {"momentum": "x"}}),
+        ("run", {"problem": "minimax", "solver": {"xi": "a", "xi_v": 1.0}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"m_tr": "a"}}),
+        ("run", {"problem": "minimax", "start": {"v": "abc", "theta": [1.0]}}),
+        ("run", {"problem": "minimax", "start": {"v": [float("nan")], "theta": [1.0]}}),
+        ("run", {"problem": "coreset", "problem_params": {"x0": [1, 2, 3]}}),
+        ("run", {"problem": "minimax", "output_path": 5}),
+        ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, "x"]}}),
+        ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, -1]}}),
+    ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "m_tr", "start-v",
+            "start-nan", "x0", "output_path", "sweep-seed", "sweep-negative-seed"])
+    def test_malformed_value_is_configuration_error(
+        self, tmp_path, monkeypatch, capsys, command, doc
+    ):
+        monkeypatch.setenv("BOME_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = self.write_config(tmp_path, doc)
+        assert main([command, str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("output_path", [None, "x.csv"])
+    @pytest.mark.parametrize("sweep", [None, {"eta": [0.1, 0.5]}])
+    def test_sweep_cell_names(self, tmp_path, monkeypatch, output_path, sweep):
+        # a name gets the cell index only when the config has a sweep field
+        outdir = tmp_path / "results"
+        monkeypatch.setenv("BOME_OUTPUT_DIR", str(outdir))
+        doc = {"problem": "minimax", "solver": {"iters": 3}}
+        if output_path is not None:
+            doc["output_path"] = output_path
+        if sweep is not None:
+            doc["sweep"] = sweep
+        assert main(["sweep", str(self.write_config(tmp_path, doc))]) == 0
+        stem = "x" if output_path else "minimax_bome"
+        cells = [f"{stem}_{i:03d}.csv" for i in range(2)] if sweep else [f"{stem}.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(cells + [f"{stem}.summary.json"])
+
     def test_exit_code_on_config_error(self, tmp_path):
         cfg = self.write_config(tmp_path, {"problem": "nonexistent"})
         assert main(["run", str(cfg)]) == 2

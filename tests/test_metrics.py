@@ -129,6 +129,21 @@ class TestKktExact:
         assert report.feasibility == pytest.approx((0.9 - 0.5) ** 2, rel=1e-14)
         assert report.variant is KktVariant.EXACT
 
+    def test_lls_score_independent_of_chosen_minimizer(self, rng):
+        # every point (v, c) of the minimizer line serves as theta*(v): g is 0
+        # there and its v-gradient is the value-function gradient, 0
+        oracle = lls_oracle()
+        points = [JointPoint(rng.standard_normal(1), rng.standard_normal(2)) for _ in range(20)]
+        points += [JointPoint(p.v, [p.v[0], p.theta[1]]) for p in points[:5]]
+        for p in points:
+            report = kkt_exact(oracle, p)
+            assert report.feasibility == (p.theta[0] - p.v[0]) ** 2
+            for c in (-2.5, 1.0, 7.0, 1e3):
+                other = dataclasses.replace(
+                    oracle, exact_inner_opt=lambda v, c=c: np.array([v[0], c])
+                )
+                assert kkt_exact(other, p) == report
+
 
 class TestKktProxy:
     def test_zero_at_joint_stationary_point(self):
@@ -219,9 +234,7 @@ class TestKktProxyFromStep:
     def test_run_scores_equal_standalone_proxy(self, case):
         oracle, start, cfg = case()
         # without an exact capability run() scores every iterate by proxy
-        oracle = dataclasses.replace(
-            oracle, exact_inner_opt=None, exact_value=None, exact_value_grad=None
-        )
+        oracle = dataclasses.replace(oracle, exact_inner_opt=None)
         cfg = dataclasses.replace(cfg, max_outer_iters_K=30, kkt_eval_every=1)
         trace = run(oracle, start, cfg)
         assert trace.kkt_variant == "proxy" and len(trace.records) == 30
@@ -292,4 +305,4 @@ class TestMinimaxOptimumScoresZero:
         assert kkt_attraction(oracle, origin, alpha=0.05).total == 0.0
 
     def test_exact_unsupported(self):
-        assert not minimax_oracle().supports_exact_kkt()
+        assert minimax_oracle().exact_inner_opt is None

@@ -123,10 +123,16 @@ class TestDegenerateLLS:
             theta = np.array([v[0], rng.standard_normal()])
             assert oracle.eval_g(JointPoint(v, theta)) == 0.0
 
-    def test_exact_value_function(self):
+    def test_exact_value_function(self, rng):
+        # the exact inner minimizer lies on the line theta_1 = v, where the
+        # value function g and its v-gradient both vanish
         oracle = lls_oracle()
-        assert oracle.exact_value(np.array([2.0])) == 0.0
-        np.testing.assert_array_equal(oracle.exact_value_grad(np.array([2.0])), np.zeros(1))
+        for v in [np.array([2.0])] + [rng.standard_normal(1) for _ in range(5)]:
+            theta_star = oracle.exact_inner_opt(v)
+            assert theta_star[0] == v[0]
+            at_star = JointPoint(v, theta_star)
+            assert oracle.eval_g(at_star) == 0.0
+            np.testing.assert_array_equal(oracle.grad_g(at_star).dv, np.zeros(1))
 
     def test_gradcheck(self, rng):
         oracle = lls_oracle()
