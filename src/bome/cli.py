@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -151,7 +151,8 @@ def _build_hyperclean(params: dict, seed: int):
         corrupt_frac=params.get("corrupt_frac", 0.3),
     )
     if "ridge_c" in params:
-        prob.ridge_c = float(params["ridge_c"])
+        # rebuilt rather than assigned, so that __post_init__ validates it
+        prob = replace(prob, ridge_c=float(params["ridge_c"]))
     presets = {"default": (0.5 * np.ones(prob.n_train), np.zeros(prob.theta_dim))}
     return hyperclean_oracle(prob), presets
 

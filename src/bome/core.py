@@ -142,14 +142,12 @@ class ProblemMetadata:
         bound_M: uniform bound on |f|, |g| and the gradient norms over the
             region a run visits.
         known_optimum: the bilevel optimum when available in closed form.
-        known_f_opt: optimal outer objective value when known.
     """
 
     smoothness_L: Optional[float] = None
     pl_constant_kappa: Optional[float] = None
     bound_M: Optional[float] = None
     known_optimum: Optional[JointPoint] = None
-    known_f_opt: Optional[float] = None
 
     def __post_init__(self):
         for name in ("smoothness_L", "pl_constant_kappa", "bound_M"):

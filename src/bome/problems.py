@@ -150,9 +150,7 @@ def minimax_oracle() -> BilevelOracle:
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return -v
 
-    meta = ProblemMetadata(
-        known_optimum=JointPoint(np.zeros(1), np.zeros(1)), known_f_opt=0.0
-    )
+    meta = ProblemMetadata(known_optimum=JointPoint(np.zeros(1), np.zeros(1)))
     return BilevelOracle(
         eval_f=eval_f,
         grad_f=grad_f,
@@ -234,7 +232,7 @@ class HypercleanProblem:
         self.val_features = np.asarray(self.val_features, dtype=float)
         self.train_labels = np.asarray(self.train_labels, dtype=int)
         self.val_labels = np.asarray(self.val_labels, dtype=int)
-        if self.ridge_c < 0:
+        if not self.ridge_c >= 0:  # also rejects NaN
             raise ValueError(f"ridge_c must be >= 0, got {self.ridge_c}")
         if self.corruption_mask is None:
             self.corruption_mask = np.zeros(self.train_labels.size, dtype=bool)
@@ -308,14 +306,36 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-def _logistic_losses(x_aug: np.ndarray, labels: np.ndarray, theta_mat: np.ndarray):
-    """Per-sample cross-entropy losses and softmax probabilities."""
+def _shifted_scores(x_aug: np.ndarray, theta_mat: np.ndarray):
+    """Class scores shifted by their row max, and the row log-partition sums.
+
+    Returns ``(scores, log_z)``: ``scores[i, k]`` is sample i's score for
+    class k minus the largest of its scores, and ``log_z[i]`` is
+    ``log(sum_k exp(scores[i, k]))``. Sample i's cross-entropy for label y
+    is then ``log_z[i] - scores[i, y]``, and its class probabilities are
+    ``exp(scores[i] - log_z[i])``. ``scores`` is a fresh array the caller
+    may overwrite.
+
+    The classes form the short axis of the (m, C) score matrix, and numpy
+    reduces a short axis row by row at a high fixed cost per row. So both
+    reductions run over the C columns instead. The max is exact in any
+    order. Below 8 terms numpy's row sum adds in plain order, so the column
+    sum matches it bit for bit; from 8 classes on the row sum is kept.
+    """
     scores = x_aug @ theta_mat
-    scores = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scores).sum(axis=1))
-    losses = log_z - scores[np.arange(labels.size), labels]
-    probs = np.exp(scores - log_z[:, None])
-    return losses, probs
+    n_classes = scores.shape[1]
+    top = scores[:, 0].copy()
+    for j in range(1, n_classes):
+        np.maximum(top, scores[:, j], out=top)
+    scores -= top[:, None]
+    e = np.exp(scores)
+    if n_classes < 8:
+        total = e[:, 0].copy()
+        for j in range(1, n_classes):
+            total += e[:, j]
+    else:
+        total = e.sum(axis=1)
+    return scores, np.log(total, out=total)
 
 
 def _label_onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -338,42 +358,54 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     c = prob.ridge_c
     y_tr_onehot = _label_onehot(prob.train_labels, n_classes)
     y_val_onehot = _label_onehot(prob.val_labels, n_classes)
+    # flat index of each sample's own-label score in a C-contiguous (m, C)
+    # score matrix
+    pick_tr = np.arange(prob.n_train) * n_classes + prob.train_labels
+    pick_val = np.arange(prob.val_labels.size) * n_classes + prob.val_labels
     theta_shape = (x_tr.shape[1], n_classes)
 
-    def unpack(theta: np.ndarray) -> np.ndarray:
-        return theta.reshape(theta_shape)
+    def score(x_aug: np.ndarray, theta: np.ndarray):
+        return _shifted_scores(x_aug, theta.reshape(theta_shape))
 
-    def eval_f(p: JointPoint) -> float:
-        losses, _ = _logistic_losses(x_val, prob.val_labels, unpack(p.theta))
-        return float(losses.mean())
+    def losses(scores: np.ndarray, log_z: np.ndarray, pick: np.ndarray) -> np.ndarray:
+        return log_z - scores.ravel()[pick]
 
-    def grad_f(p: JointPoint) -> JointGradient:
-        _, probs = _logistic_losses(x_val, prob.val_labels, unpack(p.theta))
-        grad_mat = x_val.T @ (probs - y_val_onehot) / x_val.shape[0]
-        return JointGradient(np.zeros(prob.n_train), grad_mat.ravel())
+    def residuals(scores: np.ndarray, log_z: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        # softmax probabilities minus the one-hot labels, formed in place
+        scores -= log_z[:, None]
+        np.exp(scores, out=scores)
+        scores -= onehot
+        return scores
 
     def weights(v: np.ndarray) -> np.ndarray:
         return np.clip(v, 0.0, 1.0)
 
+    def theta_block(v, theta, scores, log_z) -> np.ndarray:
+        # the theta block of grad g from one score pass; overwrites scores
+        r = residuals(scores, log_z, y_tr_onehot)
+        r *= weights(v)[:, None]
+        return (x_tr.T @ r).ravel() + 2.0 * c * theta
+
+    def eval_f(p: JointPoint) -> float:
+        return float(losses(*score(x_val, p.theta), pick_val).mean())
+
+    def grad_f(p: JointPoint) -> JointGradient:
+        r = residuals(*score(x_val, p.theta), y_val_onehot)
+        grad_mat = x_val.T @ r / x_val.shape[0]
+        return JointGradient(np.zeros(prob.n_train), grad_mat.ravel())
+
     def eval_g(p: JointPoint) -> float:
-        losses, _ = _logistic_losses(x_tr, prob.train_labels, unpack(p.theta))
-        return float(weights(p.v) @ losses + c * (p.theta @ p.theta))
+        return float(weights(p.v) @ losses(*score(x_tr, p.theta), pick_tr)
+                     + c * (p.theta @ p.theta))
 
     def grad_g(p: JointPoint) -> JointGradient:
-        theta_mat = unpack(p.theta)
-        losses, probs = _logistic_losses(x_tr, prob.train_labels, theta_mat)
+        scores, log_z = score(x_tr, p.theta)
         inside = (p.v > 0.0) & (p.v < 1.0)
-        dv = np.where(inside, losses, 0.0)
-        w = weights(p.v)
-        grad_mat = x_tr.T @ (w[:, None] * (probs - y_tr_onehot))
-        return JointGradient(dv, grad_mat.ravel() + 2.0 * c * p.theta)
+        dv = np.where(inside, losses(scores, log_z, pick_tr), 0.0)
+        return JointGradient(dv, theta_block(p.v, p.theta, scores, log_z))
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        theta_mat = unpack(theta)
-        _, probs = _logistic_losses(x_tr, prob.train_labels, theta_mat)
-        w = weights(v)
-        grad_mat = x_tr.T @ (w[:, None] * (probs - y_tr_onehot))
-        return grad_mat.ravel() + 2.0 * c * theta
+        return theta_block(v, theta, *score(x_tr, theta))
 
     return BilevelOracle(
         eval_f=eval_f,

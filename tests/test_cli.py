@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,14 +374,16 @@ class TestCliMain:
         ("run", {"problem": "minimax", "solver": {"momentum": "x"}}),
         ("run", {"problem": "minimax", "solver": {"xi": "a", "xi_v": 1.0}}),
         ("run", {"problem": "hyperclean", "problem_params": {"m_tr": "a"}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": -5.0}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": float("nan")}}),
         ("run", {"problem": "minimax", "start": {"v": "abc", "theta": [1.0]}}),
         ("run", {"problem": "minimax", "start": {"v": [float("nan")], "theta": [1.0]}}),
         ("run", {"problem": "coreset", "problem_params": {"x0": [1, 2, 3]}}),
         ("run", {"problem": "minimax", "output_path": 5}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, "x"]}}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, -1]}}),
-    ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "m_tr", "start-v",
-            "start-nan", "x0", "output_path", "sweep-seed", "sweep-negative-seed"])
+    ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "m_tr", "ridge_c", "ridge_c-nan",
+            "start-v", "start-nan", "x0", "output_path", "sweep-seed", "sweep-negative-seed"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -464,3 +470,13 @@ class TestCliMain:
         out = capsys.readouterr().out
         for name in ("coreset", "minimax", "lls", "hyperclean", "ridge"):
             assert name in out
+
+    def test_runs_as_python_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bome", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "list-problems" in proc.stdout

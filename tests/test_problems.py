@@ -7,6 +7,7 @@ from bome import (
     JointPoint,
     coreset_oracle,
     CoresetProblem,
+    HypercleanProblem,
     export_dataset_csv,
     hyperclean_oracle,
     inner_descent,
@@ -18,6 +19,7 @@ from bome import (
     softmax,
     softmax_jacobian,
 )
+from bome.cli import PROBLEM_BUILDERS
 from bome.gradcheck import check_oracle_gradients
 from conftest import brute_simplex_projection
 
@@ -224,6 +226,47 @@ class TestHyperclean:
         with pytest.raises(ValueError, match="degenerate"):
             make_synthetic_hyperclean(seed=0, m_tr=2, m_val=2, p=2, corrupt_frac=0.5)
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 11])
+    def test_oracle_matches_row_reduction_formula_bit_for_bit(self, rng, n_classes):
+        # the oracle reduces the class axis column by column; the reference is
+        # the plain row-reduction formula, and every output must keep its bits
+        def split(m):
+            return rng.standard_normal((m, 4)), rng.permutation(np.arange(m) % n_classes)
+
+        (x_tr, y_tr), (x_val, y_val) = split(60), split(40)
+        prob = HypercleanProblem(x_tr, y_tr, x_val, y_val, ridge_c=0.01)
+        oracle = hyperclean_oracle(prob)
+        xa_tr = np.hstack([x_tr, np.ones((60, 1))])
+        xa_val = np.hstack([x_val, np.ones((40, 1))])
+        onehot_tr, onehot_val = np.eye(n_classes)[y_tr], np.eye(n_classes)[y_val]
+
+        def logistic_losses(x_aug, labels, theta_mat):
+            scores = x_aug @ theta_mat
+            scores = scores - scores.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(scores).sum(axis=1))
+            losses = log_z - scores[np.arange(labels.size), labels]
+            probs = np.exp(scores - log_z[:, None])
+            return losses, probs
+
+        for scale in (0.01, 1.0, 30.0):
+            for _ in range(5):
+                v = rng.uniform(-0.5, 1.5, 60)
+                theta = scale * rng.standard_normal(prob.theta_dim)
+                theta_mat = theta.reshape(5, n_classes)
+                w = np.clip(v, 0.0, 1.0)
+                p = JointPoint(v, theta)
+                val_losses, val_probs = logistic_losses(xa_val, y_val, theta_mat)
+                tr_losses, tr_probs = logistic_losses(xa_tr, y_tr, theta_mat)
+                g_theta = (xa_tr.T @ (w[:, None] * (tr_probs - onehot_tr))).ravel() + 0.02 * theta
+                assert oracle.eval_f(p) == float(val_losses.mean())
+                assert np.array_equal(oracle.grad_f(p).dtheta,
+                                      (xa_val.T @ (val_probs - onehot_val) / 40).ravel())
+                assert oracle.eval_g(p) == float(w @ tr_losses + 0.01 * (theta @ theta))
+                g = oracle.grad_g(p)
+                assert np.array_equal(g.dv, np.where((v > 0.0) & (v < 1.0), tr_losses, 0.0))
+                assert np.array_equal(g.dtheta, g_theta)
+                assert np.array_equal(oracle.grad_g_theta(v, theta), g_theta)
+
 
 class TestRidge:
     def test_unregularized_limit(self):
@@ -299,3 +342,16 @@ class TestDatasetExport:
         prob = make_synthetic_hyperclean(seed=6, m_tr=12, m_val=8, p=3, corrupt_frac=0.25)
         with pytest.raises(ValueError):
             export_dataset_csv(prob, tmp_path / "x.csv", split="test")
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEM_BUILDERS))
+def test_grad_g_theta_block_is_inner_gradient_bit_for_bit(rng, problem):
+    # the inner loop's first gradient grad_g_theta(v, theta) may stand in for
+    # the theta block of grad_g at the same point only if the bits agree
+    oracle, presets = PROBLEM_BUILDERS[problem]({}, 0)
+    v0, theta0 = presets["default"]
+    for _ in range(200):
+        v = rng.uniform(-0.5, 1.5, v0.size)
+        theta = theta0 + rng.standard_normal(theta0.size)
+        assert np.array_equal(oracle.grad_g(JointPoint(v, theta)).dtheta,
+                              oracle.grad_g_theta(v, theta))
