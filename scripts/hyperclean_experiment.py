@@ -45,7 +45,8 @@ def main() -> int:
         outer_step_xi=1e-3,
         inner_step_alpha=1e-3,
         inner_iters_T=10,
-        separate_outer_steps=(3.0, 1e-3),
+        xi_v=3.0,
+        xi_theta=1e-3,
         momentum_beta=0.9,
         max_outer_iters_K=500,
         kkt_eval_every=50,

@@ -46,7 +46,8 @@ def main() -> int:
             outer_step_xi=0.002,
             inner_step_alpha=0.25,
             inner_iters_T=10,
-            separate_outer_steps=(1.0, 0.002),
+            xi_v=1.0,
+            xi_theta=0.002,
             momentum_beta=0.9,
             max_outer_iters_K=20000,
             kkt_eval_every=50,

@@ -11,15 +11,16 @@ Config document shape::
       "solver": {"xi": 0.05, "alpha": null, "T": 10, "eta": 0.5,
                  "barrier": "gradnorm" | "value", "iters": 1000,
                  "momentum": 0.0, "kkt_every": 10, "stop_kkt_tol": null,
-                 "seed": 0, "xi_v": ..., "xi_theta": ...},
+                 "seed": 0, "xi_v": null, "xi_theta": null},
       "start": "start1" | {"v": [...], "theta": [...]},
       "output_path": "trace.csv",
       "sweep": {"eta": [0.1, 0.5, 0.9], "T": [1, 10]}
     }
 
-Unknown fields anywhere are rejected. All file output is UTF-8 with Unix
-newlines; floats are printed with 17 significant digits so they round-trip
-bit-exactly.
+An unset (or null) alpha, xi_v or xi_theta follows xi, also in a sweep over
+xi; a summary's ``config`` lists the resolved values. Unknown fields anywhere
+are rejected. All file output is UTF-8 with Unix newlines; floats are printed
+with 17 significant digits so they round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import argparse
 import copy
 import itertools
 import json
+import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -65,9 +68,8 @@ _TOP_LEVEL_KEYS = {
     "problem", "problem_params", "method", "solver", "start", "output_path", "sweep",
 }
 # The solver schema: each JSON key, the SolverConfig field it sets, and the
-# argparse options of its run/sweep override flag (None: no flag). xi_v and
-# xi_theta together set separate_outer_steps; an unset one follows xi, as an
-# unset alpha does.
+# argparse options of its run/sweep override flag (None: no flag). Unset keys
+# are left to SolverConfig, whose unset alpha, xi_v and xi_theta follow xi.
 _SOLVER_KEYS = {
     "xi": ("outer_step_xi", {"type": float}),
     "alpha": ("inner_step_alpha", {"type": float}),
@@ -84,7 +86,19 @@ _SOLVER_KEYS = {
 }
 _METHODS = {"bome": Method.BOME, "gda": Method.NAIVE_GDA, "ogd": Method.OPTIMISTIC_GD}
 
-_CSV_HEADER = "k,f,q_hat,lambda,phi,delta_norm,grad_qhat_norm,kkt,wall_us"
+# The trace CSV schema: each column, the StepDiagnostics field it holds, and
+# whether that field is a float (else an integer).
+_TRACE_COLUMNS = (
+    ("k", "iter_k", False),
+    ("f", "f_value", True),
+    ("q_hat", "q_hat", True),
+    ("lambda", "lambda_k", True),
+    ("phi", "phi_k", True),
+    ("delta_norm", "delta_norm", True),
+    ("grad_qhat_norm", "grad_qhat_norm", True),
+    ("kkt", "kkt_value", True),
+    ("wall_us", "wall_time_micros", False),
+)
 
 
 @dataclass
@@ -231,13 +245,6 @@ def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
             kwargs["barrier_kind"] = BarrierKind(barrier)
         except ValueError:
             errors.append(f"barrier must be 'gradnorm' or 'value', got {barrier!r}")
-    xi_v, xi_theta = kwargs.pop("xi_v", None), kwargs.pop("xi_theta", None)
-    if xi_v is not None or xi_theta is not None:
-        xi = kwargs.get("outer_step_xi", SolverConfig.outer_step_xi)
-        kwargs["separate_outer_steps"] = (
-            xi if xi_v is None else xi_v,
-            xi if xi_theta is None else xi_theta,
-        )
     try:
         cfg = SolverConfig(**kwargs)
         validate_config(cfg)
@@ -379,8 +386,6 @@ def _solver_to_dict(cfg: SolverConfig) -> dict:
     """The resolved solver settings under their JSON keys, for summaries."""
     out = {key: getattr(cfg, attr) for key, (attr, _) in _SOLVER_KEYS.items()}
     out["barrier"] = cfg.barrier_kind.value
-    if cfg.separate_outer_steps is None:
-        del out["xi_v"], out["xi_theta"]
     return out
 
 
@@ -389,56 +394,42 @@ def _solver_to_dict(cfg: SolverConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _parse_float(cell: str) -> Optional[float]:
+    return None if cell == "" else float(cell)
+
+
+_COLUMN_NAMES = [name for name, _, _ in _TRACE_COLUMNS]
+_row_values = operator.attrgetter(*(attr for _, attr, _ in _TRACE_COLUMNS))
+_FORMATTERS = ["%.17g".__mod__ if is_float else str for _, _, is_float in _TRACE_COLUMNS]
+_PARSERS = [_parse_float if is_float else int for _, _, is_float in _TRACE_COLUMNS]
 
 
 def emit_trace_csv(trace: Trace, path) -> None:
-    """Write one row per iteration; the kkt column is blank on rows where
-    stationarity was not evaluated."""
+    """Write one row per iteration; a cell is blank where its value is None,
+    as the kkt cell is on rows where stationarity was not evaluated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(",".join(_COLUMN_NAMES) + "\n")
         for rec in trace.records:
-            kkt = "" if rec.kkt_value is None else _fmt(rec.kkt_value)
-            fh.write(
-                ",".join(
-                    [
-                        str(rec.iter_k),
-                        _fmt(rec.f_value),
-                        _fmt(rec.q_hat),
-                        _fmt(rec.lambda_k),
-                        _fmt(rec.phi_k),
-                        _fmt(rec.delta_norm),
-                        _fmt(rec.grad_qhat_norm),
-                        kkt,
-                        str(rec.wall_time_micros),
-                    ]
-                )
-                + "\n"
-            )
+            cells = ["" if x is None else fmt(x) for fmt, x in zip(_FORMATTERS, _row_values(rec))]
+            fh.write(",".join(cells) + "\n")
 
 
 def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV back into a list of row dicts (floats re-parsed)."""
+    """Parse a trace CSV back into a list of row dicts keyed by column name
+    (floats re-parsed, a blank float cell read as None)."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != _CSV_HEADER.split(","):
+        if fh.readline().strip().split(",") != _COLUMN_NAMES:
             raise ValueError(f"unexpected trace header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = {
-                "k": int(parts[0]),
-                "f": float(parts[1]),
-                "q_hat": float(parts[2]),
-                "lambda": float(parts[3]),
-                "phi": float(parts[4]),
-                "delta_norm": float(parts[5]),
-                "grad_qhat_norm": float(parts[6]),
-                "kkt": None if parts[7] == "" else float(parts[7]),
-                "wall_us": int(parts[8]),
-            }
-            rows.append(row)
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(_COLUMN_NAMES):
+                raise ValueError(
+                    f"{path}, line {lineno}: expected {len(_COLUMN_NAMES)} fields, "
+                    f"got {len(cells)}"
+                )
+            rows.append({name: parse(cell) for name, parse, cell
+                         in zip(_COLUMN_NAMES, _PARSERS, cells)})
     return rows
 
 
@@ -459,8 +450,10 @@ def summarize_trace(trace: Trace) -> dict:
     if trace.final_kkt is not None:
         kkts.append(trace.final_kkt.total)
     entry["running_min_kkt"] = min(kkts) if kkts else None
-    if trace.dist_to_known_opt is not None:
-        entry["dist_to_opt"] = trace.dist_to_known_opt
+    dist = trace.dist_to_known_opt
+    if dist is not None:
+        # JSON has no infinity: a distance that overflowed is written as null
+        entry["dist_to_opt"] = dist if math.isfinite(dist) else None
     return entry
 
 

@@ -197,13 +197,19 @@ class BarrierKind(enum.Enum):
     VALUE = "value"            # phi = eta * max(q_hat, 0)
 
 
+# The steps that, when unset, follow the outer step xi.
+_FOLLOW_XI = ("inner_step_alpha", "xi_v", "xi_theta")
+
+
 @dataclass
 class SolverConfig:
     """All solver hyperparameters.
 
     Defaults mirror the recommended settings: eta = 0.5, T = 10 inner steps,
-    gradient-norm-squared barrier, inner step equal to the outer step, and
-    no momentum.
+    gradient-norm-squared barrier, no momentum, and the inner step and the
+    separate v and theta outer steps all equal to the outer step xi. Unset
+    steps are resolved at construction, so ``dataclasses.replace`` of
+    ``outer_step_xi`` alone leaves them at the old xi.
     """
 
     outer_step_xi: float = 0.05
@@ -212,29 +218,19 @@ class SolverConfig:
     eta: float = 0.5
     barrier_kind: BarrierKind = BarrierKind.GRAD_NORM_SQ
     max_outer_iters_K: int = 1000
-    separate_outer_steps: Optional[tuple[float, float]] = None
+    xi_v: Optional[float] = None
+    xi_theta: Optional[float] = None
     momentum_beta: float = 0.0
     kkt_eval_every: int = 10
     stop_kkt_tol: Optional[float] = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.inner_step_alpha is None:
-            self.inner_step_alpha = self.outer_step_xi
+        for name in _FOLLOW_XI:
+            if getattr(self, name) is None:
+                setattr(self, name, self.outer_step_xi)
         if isinstance(self.barrier_kind, str):
             self.barrier_kind = BarrierKind(self.barrier_kind)
-
-    @property
-    def xi_v(self) -> float:
-        if self.separate_outer_steps is not None:
-            return self.separate_outer_steps[0]
-        return self.outer_step_xi
-
-    @property
-    def xi_theta(self) -> float:
-        if self.separate_outer_steps is not None:
-            return self.separate_outer_steps[1]
-        return self.outer_step_xi
 
 
 @dataclass
@@ -270,10 +266,10 @@ def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -
     human-readable warnings; the solver still runs with them.
     """
     errors = []
-    if not (_is_real(cfg.outer_step_xi) and cfg.outer_step_xi > 0):
-        errors.append(f"outer_step_xi must be a number > 0, got {cfg.outer_step_xi}")
-    if not (_is_real(cfg.inner_step_alpha) and cfg.inner_step_alpha > 0):
-        errors.append(f"inner_step_alpha must be a number > 0, got {cfg.inner_step_alpha}")
+    for name in ("outer_step_xi", *_FOLLOW_XI):
+        step = getattr(cfg, name)
+        if not (_is_real(step) and step > 0):
+            errors.append(f"{name} must be a number > 0, got {step}")
     if not (_is_real(cfg.eta) and cfg.eta > 0):
         errors.append(f"eta must be a number > 0, got {cfg.eta}")
     if not (_is_int(cfg.inner_iters_T) and cfg.inner_iters_T >= 0):
@@ -289,9 +285,6 @@ def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -
         errors.append(f"stop_kkt_tol must be a number > 0 when set, got {tol}")
     if not (_is_int(cfg.rng_seed) and cfg.rng_seed >= 0):
         errors.append(f"rng_seed must be an integer >= 0, got {cfg.rng_seed}")
-    steps = cfg.separate_outer_steps
-    if steps is not None and not all(_is_real(step) and step > 0 for step in steps):
-        errors.append(f"separate outer steps must be numbers > 0, got {steps}")
     if errors:
         raise ConfigurationError("; ".join(errors))
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,6 +26,13 @@ from .core import (
 from .barrier_step import BarrierSolution, bome_step
 from .baselines import baseline_direction, gda_step, ogd_step
 from .metrics import KktReport, kkt_exact, kkt_proxy
+
+
+# The float quantities of a step record, checked finite before it is kept; the
+# stationarity score is checked by _score.
+_step_floats = operator.attrgetter(
+    "f_value", "q_hat", "lambda_k", "phi_k", "delta_norm", "grad_qhat_norm"
+)
 
 
 class Method(enum.Enum):
@@ -95,8 +103,8 @@ def run(
     ``cfg.kkt_eval_every`` iterations and on the last record. If
     ``cfg.stop_kkt_tol`` is set the run stops at the first scored iterate
     meeting it, without applying that iterate's step. A numerical failure
-    (a non-finite iterate, f, q_hat or score) ends the run with the trace
-    retained up to the failing iterate; a final f or score that fails is
+    (a non-finite iterate, step quantity or score) ends the run with the
+    trace retained up to the failing iterate; a final f or score that fails is
     ``None``.
     """
     warnings = validate_config(cfg, oracle.metadata)
@@ -143,8 +151,8 @@ def run(
                     delta_norm=direction.norm(),
                     grad_qhat_norm=0.0,
                 )
-            if not (math.isfinite(diag.f_value) and math.isfinite(diag.q_hat)):
-                raise NumericalError("non-finite objective or constraint estimate")
+            if not all(map(math.isfinite, _step_floats(diag))):
+                raise NumericalError("non-finite step quantity")
             if k % cfg.kkt_eval_every == 0 or k == K - 1:
                 diag.kkt_value = _score(oracle, point, cfg, sol).total
         except NumericalError:

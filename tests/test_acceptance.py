@@ -73,7 +73,8 @@ def test_criterion_01_coreset_convergence_at_reference_steps():
             inner_step_alpha=0.25,
             inner_iters_T=10,
             eta=0.5,
-            separate_outer_steps=(1.0, 0.002),
+            xi_v=1.0,
+            xi_theta=0.002,
             momentum_beta=0.9,
             max_outer_iters_K=5000,
             kkt_eval_every=10,
@@ -315,7 +316,8 @@ def _robustness_cell(args):
         inner_iters_T=T,
         eta=eta,
         barrier_kind=BarrierKind(barrier),
-        separate_outer_steps=(1.0, 0.002),
+        xi_v=1.0,
+        xi_theta=0.002,
         momentum_beta=0.9,
         max_outer_iters_K=40000,
         kkt_eval_every=50,
@@ -360,7 +362,8 @@ def test_criterion_10_hyperclean_structure():
         outer_step_xi=1e-3,
         inner_step_alpha=1e-3,
         inner_iters_T=10,
-        separate_outer_steps=(3.0, 1e-3),
+        xi_v=3.0,
+        xi_theta=1e-3,
         momentum_beta=0.9,
         max_outer_iters_K=500,
         kkt_eval_every=250,

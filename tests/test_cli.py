@@ -126,7 +126,7 @@ class TestParseConfig:
     def test_sweep_over_xi_moves_unset_separate_step(self):
         doc = {"problem": "minimax", "solver": {"xi_v": 1.0}, "sweep": {"xi": [0.01, 0.1]}}
         plans = expand_sweep(parse_config(json.dumps(doc)))
-        assert [p.solver.separate_outer_steps for p in plans] == [(1.0, 0.01), (1.0, 0.1)]
+        assert [(p.solver.xi_v, p.solver.xi_theta) for p in plans] == [(1.0, 0.01), (1.0, 0.1)]
 
     def test_unknown_problem_params_rejected(self):
         with pytest.raises(ConfigurationError, match="problem_params"):
@@ -196,6 +196,19 @@ class TestEmitTraceCsv:
         emit_trace_csv(trace, path)
         data = path.read_bytes()
         assert b"\r" not in data
+
+    @pytest.mark.parametrize("edit", [
+        lambda cells: cells[:-1],
+        lambda cells: cells + ["0"],
+    ], ids=["short", "long"])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, edit):
+        path = tmp_path / "t.csv"
+        emit_trace_csv(small_minimax_trace(K=3), path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"t\.csv, line 3: expected 9 fields"):
+            read_trace_csv(path)
 
 
 class TestEmitSummaryJson:
@@ -323,6 +336,24 @@ class TestCliMain:
         assert etas == [0.1, 0.5]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_distance_is_written_as_null(self, tmp_path):
+        out = tmp_path / "gda.csv"
+        cfg = self.write_config(tmp_path, {
+            "problem": "minimax", "method": "gda",
+            "solver": {"xi": 0.5, "iters": 8000, "kkt_every": 8000},
+            "output_path": str(out),
+        })
+        assert main(["run", str(cfg)]) == 1
+
+        def no_constant(name):
+            raise ValueError(f"summary holds {name}, which is not JSON")
+
+        text = out.with_suffix(".summary.json").read_text()
+        entry = json.loads(text, parse_constant=no_constant)[0]
+        assert entry["termination"] == "numerical_error"
+        assert entry["dist_to_opt"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_code_on_numerical_blowup(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -373,6 +404,7 @@ class TestCliMain:
         ("run", {"problem": "minimax", "solver": {"xi": "abc"}}),
         ("run", {"problem": "minimax", "solver": {"momentum": "x"}}),
         ("run", {"problem": "minimax", "solver": {"xi": "a", "xi_v": 1.0}}),
+        ("run", {"problem": "minimax", "solver": {"xi_theta": -1.0}}),
         ("run", {"problem": "hyperclean", "problem_params": {"m_tr": "a"}}),
         ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": -5.0}}),
         ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": float("nan")}}),
@@ -382,8 +414,9 @@ class TestCliMain:
         ("run", {"problem": "minimax", "output_path": 5}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, "x"]}}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, -1]}}),
-    ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "m_tr", "ridge_c", "ridge_c-nan",
-            "start-v", "start-nan", "x0", "output_path", "sweep-seed", "sweep-negative-seed"])
+    ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
+            "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
+            "sweep-negative-seed"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):

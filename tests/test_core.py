@@ -49,13 +49,9 @@ class TestSolverConfigDefaults:
         cfg = SolverConfig(outer_step_xi=0.123)
         assert cfg.inner_step_alpha == 0.123
 
-    def test_uniform_steps_without_separate(self):
-        cfg = SolverConfig(outer_step_xi=0.3)
-        assert cfg.xi_v == cfg.xi_theta == 0.3
-
     def test_separate_steps(self):
-        cfg = SolverConfig(separate_outer_steps=(1.0, 0.01))
-        assert cfg.xi_v == 1.0 and cfg.xi_theta == 0.01
+        cfg = SolverConfig(outer_step_xi=0.3, xi_v=1.0)
+        assert cfg.xi_v == 1.0 and cfg.xi_theta == cfg.outer_step_xi == 0.3
 
 
 class TestValidateConfig:

@@ -58,7 +58,8 @@ class TestRun:
             outer_step_xi=0.002,
             inner_step_alpha=0.05,
             inner_iters_T=10,
-            separate_outer_steps=(1.0, 0.002),
+            xi_v=1.0,
+            xi_theta=0.002,
             momentum_beta=0.9,
             max_outer_iters_K=5000,
             kkt_eval_every=25,
@@ -263,6 +264,16 @@ class TestFailuresEndTheRun:
         assert len(trace.records) == 5
         assert all(np.isfinite(r.f_value) for r in trace.records)
         assert trace.final_f is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_norm_mid_run(self):
+        # GDA's iterate norm grows until the direction norm overflows while f
+        # is still finite; sparse scoring leaves no score to fail first
+        cfg = SolverConfig(outer_step_xi=0.5, max_outer_iters_K=8000, kkt_eval_every=8000)
+        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, Method.NAIVE_GDA)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        floats = ("f_value", "q_hat", "lambda_k", "phi_k", "delta_norm", "grad_qhat_norm")
+        assert all(np.isfinite(getattr(r, name)) for r in trace.records for name in floats)
 
 
 class TestRunningMinKkt:

@@ -1,8 +1,10 @@
-"""Smoke test for the experiment scripts: they are entry points of their own
-that import the library's public names, so run them end to end."""
+"""Smoke test for the experiment scripts and the README's library quick
+start: they are entry points of their own that import the library's public
+names, so run them end to end."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,17 @@ def test_script_runs_and_writes_its_outputs(tmp_path, script, runs):
     for path in written:
         assert path.exists(), path
     assert len(json.loads((tmp_path / "summary.json").read_text())) == runs
+
+
+def test_readme_quick_start_runs_to_its_tolerance():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the block prints the final theta, then the final stationarity score
+    assert float(proc.stdout.split()[-1]) < 1e-4
