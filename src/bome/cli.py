@@ -33,7 +33,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -428,8 +427,15 @@ def read_trace_csv(path) -> list[dict]:
                     f"{path}, line {lineno}: expected {len(_COLUMN_NAMES)} fields, "
                     f"got {len(cells)}"
                 )
-            rows.append({name: parse(cell) for name, parse, cell
-                         in zip(_COLUMN_NAMES, _PARSERS, cells)})
+            row = {}
+            for name, parse, cell in zip(_COLUMN_NAMES, _PARSERS, cells):
+                try:
+                    row[name] = parse(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {lineno}, column {name}: cannot parse {cell!r}"
+                    ) from None
+            rows.append(row)
     return rows
 
 
@@ -491,11 +497,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _run_one(cfg: ExperimentConfig) -> Trace:
-    oracle, start = build_experiment(cfg)
-    return run(oracle, start, cfg.solver, _METHODS[cfg.method])
-
-
 def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = _apply_overrides(parse_config(text), args)
@@ -503,15 +504,11 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
         raise ConfigurationError(
             "config contains a sweep; use the 'sweep' subcommand to run it"
         )
-    configs = expand_sweep(cfg) if is_sweep else [cfg]
-    jobs = max(1, getattr(args, "jobs", 1) or 1)
-    if jobs == 1 or len(configs) == 1:
-        traces = [_run_one(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_one, configs))
-
-    for sub_cfg, trace in zip(configs, traces):
+    # One cell at a time: a cell that raises leaves the earlier CSVs written.
+    traces = []
+    for sub_cfg in (expand_sweep(cfg) if is_sweep else [cfg]):
+        trace = run(*build_experiment(sub_cfg), sub_cfg.solver, _METHODS[sub_cfg.method])
+        traces.append(trace)
         csv_path = _resolve_output(_output_name(sub_cfg))
         emit_trace_csv(trace, csv_path)
         print(f"wrote {csv_path}")
@@ -571,7 +568,7 @@ def _add_override_flags(p: argparse.ArgumentParser):
         if flag is not None:
             p.add_argument(f"--{key}", default=None, **flag)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored: cells run one at a time")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

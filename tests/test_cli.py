@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from bome import (
     minimax_oracle,
     run,
 )
+from bome import cli
 from bome.cli import (
     build_experiment,
     emit_summary_json,
@@ -210,6 +212,22 @@ class TestEmitTraceCsv:
         with pytest.raises(ValueError, match=r"t\.csv, line 3: expected 9 fields"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("column, index, cell", [
+        ("f", 1, "abc"),
+        ("k", 0, ""),
+        ("wall_us", 8, ""),
+    ], ids=["bad-float", "blank-k", "blank-wall_us"])
+    def test_unparsable_cell_rejected_with_its_place(self, tmp_path, column, index, cell):
+        path = tmp_path / "t.csv"
+        emit_trace_csv(small_minimax_trace(K=3), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[index] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"t\.csv, line 3, column {column}: cannot parse"):
+            read_trace_csv(path)
+
 
 class TestEmitSummaryJson:
     def test_minimax_summary_has_distance_to_optimum(self, tmp_path):
@@ -314,6 +332,49 @@ class TestCliMain:
                 entry.pop("total_wall_us")
             summaries.append(payload)
         assert summaries[0] == summaries[1]
+
+    def test_sweep_runs_cells_in_calling_thread(self, tmp_path, monkeypatch):
+        calls = []
+        inner_run = cli.run
+
+        def recording_run(oracle, start, cfg, *args):
+            calls.append((threading.get_ident(), cfg.inner_iters_T, cfg.eta))
+            return inner_run(oracle, start, cfg, *args)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        cfg = self.write_config(tmp_path, {
+            "problem": "minimax",
+            "solver": {"iters": 20, "kkt_every": 10},
+            "sweep": {"eta": [0.1, 0.9], "T": [1, 5]},
+            "output_path": str(tmp_path / "mm.csv"),
+        })
+        assert main(["sweep", str(cfg), "--jobs", "2"]) == 0
+        main_thread = threading.main_thread().ident
+        assert calls == [(main_thread, T, eta) for T in (1, 5) for eta in (0.1, 0.9)]
+
+    def test_sweep_cell_failure_keeps_earlier_cells(self, tmp_path, monkeypatch):
+        calls = []
+        inner_run = cli.run
+
+        def failing_run(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("cell 2 failed")
+            return inner_run(*args)
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        out = tmp_path / "mm.csv"
+        cfg = self.write_config(tmp_path, {
+            "problem": "minimax",
+            "solver": {"iters": 20, "kkt_every": 10},
+            "sweep": {"eta": [0.1, 0.9], "T": [1, 5]},
+            "output_path": str(out),
+        })
+        with pytest.raises(RuntimeError, match="cell 2 failed"):
+            main(["sweep", str(cfg)])
+        written = [(tmp_path / f"mm_{idx:03d}.csv").exists() for idx in range(4)]
+        assert written == [True, True, False, False]
+        assert not out.with_suffix(".summary.json").exists()
 
     def test_sweep_writes_one_trace_per_combo(self, tmp_path):
         out = tmp_path / "sweep.csv"
