@@ -211,6 +211,25 @@ def lls_oracle() -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
+def _classification_split(features, labels, split: str):
+    """One split's features as a float (m, p) array and its labels as m
+    non-negative integers; raises ValueError for any other shape or value."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    if features.ndim != 2:
+        raise ValueError(
+            f"{split} features must be 2-D (samples, features), got shape {features.shape}"
+        )
+    if labels.shape != (features.shape[0],):
+        raise ValueError(
+            f"{split} split needs one label per feature row: got labels of shape "
+            f"{labels.shape} for {features.shape[0]} rows"
+        )
+    if labels.dtype.kind not in "iu" or (labels < 0).any():
+        raise ValueError(f"{split} labels must be integers >= 0")
+    return features, labels.astype(int)
+
+
 @dataclass
 class HypercleanProblem:
     """Synthetic corrupted-label classification instance.
@@ -228,15 +247,24 @@ class HypercleanProblem:
     corruption_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.train_features = np.asarray(self.train_features, dtype=float)
-        self.val_features = np.asarray(self.val_features, dtype=float)
-        self.train_labels = np.asarray(self.train_labels, dtype=int)
-        self.val_labels = np.asarray(self.val_labels, dtype=int)
+        self.train_features, self.train_labels = _classification_split(
+            self.train_features, self.train_labels, "train"
+        )
+        self.val_features, self.val_labels = _classification_split(
+            self.val_features, self.val_labels, "val"
+        )
+        if self.val_features.shape[1] != self.train_features.shape[1]:
+            raise ValueError(
+                f"train and val features must share the feature count, got "
+                f"{self.train_features.shape[1]} and {self.val_features.shape[1]}"
+            )
         if not self.ridge_c >= 0:  # also rejects NaN
             raise ValueError(f"ridge_c must be >= 0, got {self.ridge_c}")
         if self.corruption_mask is None:
             self.corruption_mask = np.zeros(self.train_labels.size, dtype=bool)
         self.corruption_mask = np.asarray(self.corruption_mask, dtype=bool)
+        if self.corruption_mask.shape != self.train_labels.shape:
+            raise ValueError("corruption_mask must hold one flag per training label")
         classes = np.unique(np.concatenate([self.train_labels, self.val_labels]))
         for cls in classes:
             if cls not in self.train_labels or cls not in self.val_labels:
@@ -276,6 +304,8 @@ def make_synthetic_hyperclean(
         raise ValueError(f"corrupt_frac must lie in [0, 1), got {corrupt_frac}")
     if m_tr < 2 or m_val < 2:
         raise ValueError("need at least two samples per split")
+    if p < 1:
+        raise ValueError(f"feature dimension p must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     mu = 1.5 / np.sqrt(p) * np.ones(p)
 
@@ -306,41 +336,39 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-def _shifted_scores(x_aug: np.ndarray, theta_mat: np.ndarray):
-    """Class scores shifted by their row max, and the row log-partition sums.
+def _shifted_scores(x_t: np.ndarray, theta_mat: np.ndarray):
+    """Class scores shifted by their sample's max, and the log-partition sums.
 
-    Returns ``(scores, log_z)``: ``scores[i, k]`` is sample i's score for
-    class k minus the largest of its scores, and ``log_z[i]`` is
-    ``log(sum_k exp(scores[i, k]))``. Sample i's cross-entropy for label y
-    is then ``log_z[i] - scores[i, y]``, and its class probabilities are
-    ``exp(scores[i] - log_z[i])``. ``scores`` is a fresh array the caller
-    may overwrite.
+    ``x_t`` holds the augmented features one sample per column, shape
+    ``(p+1, m)``, and ``theta_mat`` is ``(p+1, C)``. Returns
+    ``(scores, log_z)``: the scores are stored class-major, so
+    ``scores[k, i]`` is sample i's score for class k minus the largest of
+    its scores, and ``log_z[i]`` is ``log(sum_k exp(scores[k, i]))``.
+    Sample i's cross-entropy for label y is then ``log_z[i] - scores[y, i]``,
+    and its class probabilities are ``exp(scores[:, i] - log_z[i])``.
+    ``scores`` is a fresh array the caller may overwrite.
 
-    The classes form the short axis of the (m, C) score matrix, and numpy
-    reduces a short axis row by row at a high fixed cost per row. So both
-    reductions run over the C columns instead. The max is exact in any
-    order. Below 8 terms numpy's row sum adds in plain order, so the column
-    sum matches it bit for bit; from 8 classes on the row sum is kept.
+    With the C classes as rows, the max and the sum over classes run over
+    contiguous length-m rows. The max is exact in any order. Below 8 terms
+    numpy's sum over a length-C row adds in plain order, and so does its
+    sum down the C rows, so the two match bit for bit. From 8 terms on the
+    row sum keeps eight partial sums, so it runs on a contiguous (m, C) copy.
     """
-    scores = x_aug @ theta_mat
-    n_classes = scores.shape[1]
-    top = scores[:, 0].copy()
-    for j in range(1, n_classes):
-        np.maximum(top, scores[:, j], out=top)
-    scores -= top[:, None]
+    scores = theta_mat.T @ x_t
+    n_classes = scores.shape[0]
+    scores -= scores.max(axis=0)
     e = np.exp(scores)
     if n_classes < 8:
-        total = e[:, 0].copy()
-        for j in range(1, n_classes):
-            total += e[:, j]
+        total = e.sum(axis=0)
     else:
-        total = e.sum(axis=1)
+        total = np.ascontiguousarray(e.T).sum(axis=1)
     return scores, np.log(total, out=total)
 
 
 def _label_onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
+    """Class-major one-hot labels: ``out[k, i]`` is 1 where sample i has label k."""
+    out = np.zeros((n_classes, labels.size))
+    out[labels, np.arange(labels.size)] = 1.0
     return out
 
 
@@ -351,28 +379,35 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     training loss sum_i clip(v_i, [0,1]) * loss_i plus c * ||theta||^2. The
     clip's derivative is taken as the indicator of v_i in the open interval
     (0, 1): zero at and outside the boundary.
+
+    Scores and residuals are class-major ``(C, m)`` arrays (see
+    ``_shifted_scores``), but the gradient product takes the sample-major
+    features: ``x_aug.T @ r.T`` keeps the bits of the product with an
+    ``(m, C)`` residual, where ``x_t @ r.T`` differs in the last bit.
     """
     x_tr = _augment(prob.train_features)
     x_val = _augment(prob.val_features)
+    xt_tr = np.ascontiguousarray(x_tr.T)
+    xt_val = np.ascontiguousarray(x_val.T)
     n_classes = prob.n_classes
     c = prob.ridge_c
     y_tr_onehot = _label_onehot(prob.train_labels, n_classes)
     y_val_onehot = _label_onehot(prob.val_labels, n_classes)
-    # flat index of each sample's own-label score in a C-contiguous (m, C)
+    # flat index of each sample's own-label score in a C-contiguous (C, m)
     # score matrix
-    pick_tr = np.arange(prob.n_train) * n_classes + prob.train_labels
-    pick_val = np.arange(prob.val_labels.size) * n_classes + prob.val_labels
+    pick_tr = prob.train_labels * prob.n_train + np.arange(prob.n_train)
+    pick_val = prob.val_labels * prob.val_labels.size + np.arange(prob.val_labels.size)
     theta_shape = (x_tr.shape[1], n_classes)
 
-    def score(x_aug: np.ndarray, theta: np.ndarray):
-        return _shifted_scores(x_aug, theta.reshape(theta_shape))
+    def score(x_t: np.ndarray, theta: np.ndarray):
+        return _shifted_scores(x_t, theta.reshape(theta_shape))
 
     def losses(scores: np.ndarray, log_z: np.ndarray, pick: np.ndarray) -> np.ndarray:
         return log_z - scores.ravel()[pick]
 
     def residuals(scores: np.ndarray, log_z: np.ndarray, onehot: np.ndarray) -> np.ndarray:
         # softmax probabilities minus the one-hot labels, formed in place
-        scores -= log_z[:, None]
+        scores -= log_z
         np.exp(scores, out=scores)
         scores -= onehot
         return scores
@@ -383,29 +418,29 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     def theta_block(v, theta, scores, log_z) -> np.ndarray:
         # the theta block of grad g from one score pass; overwrites scores
         r = residuals(scores, log_z, y_tr_onehot)
-        r *= weights(v)[:, None]
-        return (x_tr.T @ r).ravel() + 2.0 * c * theta
+        r *= weights(v)
+        return (x_tr.T @ r.T).ravel() + 2.0 * c * theta
 
     def eval_f(p: JointPoint) -> float:
-        return float(losses(*score(x_val, p.theta), pick_val).mean())
+        return float(losses(*score(xt_val, p.theta), pick_val).mean())
 
     def grad_f(p: JointPoint) -> JointGradient:
-        r = residuals(*score(x_val, p.theta), y_val_onehot)
-        grad_mat = x_val.T @ r / x_val.shape[0]
+        r = residuals(*score(xt_val, p.theta), y_val_onehot)
+        grad_mat = x_val.T @ r.T / x_val.shape[0]
         return JointGradient(np.zeros(prob.n_train), grad_mat.ravel())
 
     def eval_g(p: JointPoint) -> float:
-        return float(weights(p.v) @ losses(*score(x_tr, p.theta), pick_tr)
+        return float(weights(p.v) @ losses(*score(xt_tr, p.theta), pick_tr)
                      + c * (p.theta @ p.theta))
 
     def grad_g(p: JointPoint) -> JointGradient:
-        scores, log_z = score(x_tr, p.theta)
+        scores, log_z = score(xt_tr, p.theta)
         inside = (p.v > 0.0) & (p.v < 1.0)
         dv = np.where(inside, losses(scores, log_z, pick_tr), 0.0)
         return JointGradient(dv, theta_block(p.v, p.theta, scores, log_z))
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return theta_block(v, theta, *score(x_tr, theta))
+        return theta_block(v, theta, *score(xt_tr, theta))
 
     return BilevelOracle(
         eval_f=eval_f,
@@ -450,6 +485,8 @@ def make_synthetic_ridge(
     seed: int, m_tr: int = 50, m_val: int = 30, p: int = 5, noise: float = 0.1
 ) -> RidgeRegProblem:
     """Random Gaussian design with linear-model targets plus noise."""
+    if p < 1:
+        raise ValueError(f"feature dimension p must be >= 1, got {p}")
     rng = np.random.default_rng(seed)
     theta_true = rng.standard_normal(p)
     train_A = rng.standard_normal((m_tr, p))

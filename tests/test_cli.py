@@ -475,9 +475,11 @@ class TestCliMain:
         ("run", {"problem": "minimax", "output_path": 5}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, "x"]}}),
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, -1]}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"p": 0}}),
+        ("run", {"problem": "ridge", "problem_params": {"p": 0}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
-            "sweep-negative-seed"])
+            "sweep-negative-seed", "hyperclean-p0", "ridge-p0"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):

@@ -267,6 +267,65 @@ class TestHyperclean:
                 assert np.array_equal(g.dtheta, g_theta)
                 assert np.array_equal(oracle.grad_g_theta(v, theta), g_theta)
 
+    def test_oracle_bits_at_benchmark_size(self, rng):
+        # BLAS blocks a 3000-row product differently than a 60-row one, so the
+        # bits are pinned again at the hyperclean-large size (C = 2)
+        prob = make_synthetic_hyperclean(seed=0, m_tr=3000, m_val=300, p=10, corrupt_frac=0.3)
+        oracle = hyperclean_oracle(prob)
+        xa_tr = np.hstack([prob.train_features, np.ones((3000, 1))])
+        xa_val = np.hstack([prob.val_features, np.ones((300, 1))])
+
+        def logistic_losses(x_aug, labels, theta_mat):
+            # sample-major reference: scores (m, C), reduced along each row
+            scores = x_aug @ theta_mat
+            scores = scores - scores.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(scores).sum(axis=1))
+            losses = log_z - scores[np.arange(labels.size), labels]
+            residual = np.exp(scores - log_z[:, None]) - np.eye(2)[labels]
+            return losses, residual
+
+        for scale in (0.01, 1.0, 30.0):
+            v = rng.uniform(-0.5, 1.5, 3000)
+            theta = scale * rng.standard_normal(prob.theta_dim)
+            theta_mat = theta.reshape(11, 2)
+            w = np.clip(v, 0.0, 1.0)
+            p = JointPoint(v, theta)
+            val_losses, val_resid = logistic_losses(xa_val, prob.val_labels, theta_mat)
+            tr_losses, tr_resid = logistic_losses(xa_tr, prob.train_labels, theta_mat)
+            g_theta = (xa_tr.T @ (w[:, None] * tr_resid)).ravel() + 2.0 * prob.ridge_c * theta
+            assert oracle.eval_f(p) == float(val_losses.mean())
+            assert np.array_equal(oracle.grad_f(p).dtheta, (xa_val.T @ val_resid / 300).ravel())
+            assert oracle.eval_g(p) == float(w @ tr_losses + prob.ridge_c * (theta @ theta))
+            g = oracle.grad_g(p)
+            assert np.array_equal(g.dv, np.where((v > 0.0) & (v < 1.0), tr_losses, 0.0))
+            assert np.array_equal(g.dtheta, g_theta)
+            assert np.array_equal(oracle.grad_g_theta(v, theta), g_theta)
+
+    @pytest.mark.parametrize("train_x, train_y, val_x, val_y, match", [
+        (np.zeros((5, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0, 1], "one label per"),
+        (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0], "one label per"),
+        (np.zeros((4, 2)), [[0, 1, 0, 1]], np.zeros((4, 2)), [0, 1, 0, 1], "one label per"),
+        (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 3)), [0, 1, 0, 1], "feature count"),
+        (np.zeros(4), [0, 1, 0, 1], np.zeros(4), [0, 1, 0, 1], "2-D"),
+        (np.zeros((4, 2, 1)), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0, 1], "2-D"),
+        (np.zeros((4, 2)), [0, 1, 0, -1], np.zeros((4, 2)), [0, 1, 0, -1], "integers >= 0"),
+        (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0.0, 1.5, 0.0, 1.0], "integers"),
+    ], ids=["train-rows", "val-labels", "labels-2d", "feature-count", "features-1d",
+            "features-3d", "negative-label", "fractional-label"])
+    def test_malformed_split_rejected(self, train_x, train_y, val_x, val_y, match):
+        with pytest.raises(ValueError, match=match):
+            HypercleanProblem(train_x, train_y, val_x, val_y)
+
+    def test_corruption_mask_needs_one_flag_per_training_label(self):
+        with pytest.raises(ValueError, match="corruption_mask"):
+            HypercleanProblem(np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0, 1],
+                              corruption_mask=[True, False])
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_generator_rejects_empty_feature_dimension(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            make_synthetic_hyperclean(seed=0, m_tr=10, m_val=6, p=p, corrupt_frac=0.2)
+
 
 class TestRidge:
     def test_unregularized_limit(self):
@@ -302,6 +361,11 @@ class TestRidge:
         ]
         reports = check_oracle_gradients(oracle, pts)
         assert reports["f"].passed and reports["g"].passed
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_generator_rejects_empty_feature_dimension(self, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            make_synthetic_ridge(seed=0, p=p)
 
     def test_generator_deterministic(self):
         a = make_synthetic_ridge(seed=11)
