@@ -211,15 +211,25 @@ def lls_oracle() -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
-def _classification_split(features, labels, split: str):
-    """One split's features as a float (m, p) array and its labels as m
-    non-negative integers; raises ValueError for any other shape or value."""
+def _split_rows(features, split: str) -> np.ndarray:
+    """One split's features (or design) as a float (m, p) array with m >= 1;
+    raises ValueError for any other shape."""
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
     if features.ndim != 2:
         raise ValueError(
             f"{split} features must be 2-D (samples, features), got shape {features.shape}"
         )
+    if features.shape[0] < 1:
+        raise ValueError(f"{split} split is empty: it needs at least one sample")
+    return features
+
+
+def _classification_split(features, labels, split: str):
+    """One split's features as a float (m, p) array with m >= 1 and its
+    labels as m non-negative integers; raises ValueError for any other shape
+    or value."""
+    features = _split_rows(features, split)
+    labels = np.asarray(labels)
     if labels.shape != (features.shape[0],):
         raise ValueError(
             f"{split} split needs one label per feature row: got labels of shape "
@@ -372,6 +382,19 @@ def _label_onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+class _ScorePass:
+    """What one score pass at one theta gave: the per-sample losses and the
+    class-major residual (softmax probabilities minus one-hot labels), keyed
+    by the bytes of theta. A training pass also keeps the theta-block of
+    grad g, keyed by the bytes of the v whose clipped weights formed it."""
+
+    __slots__ = ("key", "losses", "residual", "block", "block_v")
+
+    def __init__(self, key: bytes, losses: np.ndarray, residual: np.ndarray):
+        self.key, self.losses, self.residual = key, losses, residual
+        self.block = self.block_v = None
+
+
 def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     """Oracle for the reweighting problem.
 
@@ -384,6 +407,16 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     ``_shifted_scores``), but the gradient product takes the sample-major
     features: ``x_aug.T @ r.T`` keeps the bits of the product with an
     ``(m, C)`` residual, where ``x_t @ r.T`` differs in the last bit.
+
+    The oracle keeps per-point memos, so a repeated point costs no second
+    score pass: the last two training passes that ``eval_g`` or ``grad_g``
+    made (in a BOME step, at the start point and at theta^(T)), the last
+    validation pass, and ``clip(v)`` with its open-interval mask for the last
+    v. ``grad_g_theta`` reads the training memo but does not fill it, so the
+    inner iterates never evict the start point. Keys are the bytes of the
+    inputs and every hit returns fresh arrays, so a caller may mutate its
+    inputs and outputs freely. The memos make the oracle stateful: one oracle
+    object must not be shared across threads.
     """
     x_tr = _augment(prob.train_features)
     x_val = _augment(prob.val_features)
@@ -398,6 +431,9 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     pick_tr = prob.train_labels * prob.n_train + np.arange(prob.n_train)
     pick_val = prob.val_labels * prob.val_labels.size + np.arange(prob.val_labels.size)
     theta_shape = (x_tr.shape[1], n_classes)
+    train_memo: list[_ScorePass] = []  # newest first, at most two
+    val_memo: list[Optional[_ScorePass]] = [None]
+    v_memo: list = [None]  # (bytes of v, clip(v, [0, 1]), open-interval mask)
 
     def score(x_t: np.ndarray, theta: np.ndarray):
         return _shifted_scores(x_t, theta.reshape(theta_shape))
@@ -412,35 +448,73 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
         scores -= onehot
         return scores
 
-    def weights(v: np.ndarray) -> np.ndarray:
-        return np.clip(v, 0.0, 1.0)
+    def score_pass(x_t, theta, key, pick, onehot) -> _ScorePass:
+        scores, log_z = score(x_t, theta)
+        # the losses are gathered before the residual overwrites the scores
+        return _ScorePass(key, losses(scores, log_z, pick), residuals(scores, log_z, onehot))
 
-    def theta_block(v, theta, scores, log_z) -> np.ndarray:
-        # the theta block of grad g from one score pass; overwrites scores
-        r = residuals(scores, log_z, y_tr_onehot)
-        r *= weights(v)
-        return (x_tr.T @ r.T).ravel() + 2.0 * c * theta
+    def weights(v: np.ndarray) -> tuple:
+        key = v.tobytes()
+        memo = v_memo[0]
+        if memo is None or memo[0] != key:
+            memo = v_memo[0] = (key, np.clip(v, 0.0, 1.0), (v > 0.0) & (v < 1.0))
+        return memo
+
+    def train_lookup(theta: np.ndarray):
+        key = theta.tobytes()
+        for entry in train_memo:
+            if entry.key == key:
+                return key, entry
+        return key, None
+
+    def train_pass(theta: np.ndarray) -> _ScorePass:
+        key, entry = train_lookup(theta)
+        if entry is None:
+            entry = score_pass(xt_tr, theta, key, pick_tr, y_tr_onehot)
+            train_memo[:] = [entry, *train_memo[:1]]
+        return entry
+
+    def theta_block(entry: _ScorePass, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        # the theta block of grad g from a kept pass, formed once per v
+        v_key, w, _ = weights(v)
+        if entry.block_v != v_key:
+            entry.block = (x_tr.T @ (entry.residual * w).T).ravel() + 2.0 * c * theta
+            entry.block_v = v_key
+        return entry.block.copy()
+
+    def val_pass(theta: np.ndarray) -> _ScorePass:
+        key = theta.tobytes()
+        entry = val_memo[0]
+        if entry is None or entry.key != key:
+            entry = val_memo[0] = score_pass(xt_val, theta, key, pick_val, y_val_onehot)
+        return entry
 
     def eval_f(p: JointPoint) -> float:
-        return float(losses(*score(xt_val, p.theta), pick_val).mean())
+        return float(val_pass(p.theta).losses.mean())
 
     def grad_f(p: JointPoint) -> JointGradient:
-        r = residuals(*score(xt_val, p.theta), y_val_onehot)
-        grad_mat = x_val.T @ r.T / x_val.shape[0]
+        grad_mat = x_val.T @ val_pass(p.theta).residual.T / x_val.shape[0]
         return JointGradient(np.zeros(prob.n_train), grad_mat.ravel())
 
     def eval_g(p: JointPoint) -> float:
-        return float(weights(p.v) @ losses(*score(xt_tr, p.theta), pick_tr)
-                     + c * (p.theta @ p.theta))
+        return float(weights(p.v)[1] @ train_pass(p.theta).losses + c * (p.theta @ p.theta))
 
     def grad_g(p: JointPoint) -> JointGradient:
-        scores, log_z = score(xt_tr, p.theta)
-        inside = (p.v > 0.0) & (p.v < 1.0)
-        dv = np.where(inside, losses(scores, log_z, pick_tr), 0.0)
-        return JointGradient(dv, theta_block(p.v, p.theta, scores, log_z))
+        entry = train_pass(p.theta)
+        dv = np.where(weights(p.v)[2], entry.losses, 0.0)
+        return JointGradient(dv, theta_block(entry, p.v, p.theta))
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return theta_block(v, theta, *score(xt_tr, theta))
+        v = np.asarray(v, dtype=float)
+        _, entry = train_lookup(theta)
+        if entry is not None:
+            return theta_block(entry, v, theta)
+        # an inner iterate: one pass whose scores become the weighted
+        # residual in place, and nothing kept
+        scores, log_z = score(xt_tr, theta)
+        r = residuals(scores, log_z, y_tr_onehot)
+        r *= weights(v)[1]
+        return (x_tr.T @ r.T).ravel() + 2.0 * c * theta
 
     return BilevelOracle(
         eval_f=eval_f,
@@ -459,6 +533,19 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
+def _regression_split(design, targets, split: str):
+    """One split's design as a float (m, p) array with m >= 1 and its targets
+    as m floats; raises ValueError for any other shape."""
+    design = _split_rows(design, split)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (design.shape[0],):
+        raise ValueError(
+            f"{split} split needs one target per design row: got targets of shape "
+            f"{targets.shape} for {design.shape[0]} rows"
+        )
+    return design, targets
+
+
 @dataclass
 class RidgeRegProblem:
     """Regression splits for the learnable-regularization problem."""
@@ -469,10 +556,8 @@ class RidgeRegProblem:
     val_y: np.ndarray
 
     def __post_init__(self):
-        self.train_A = np.asarray(self.train_A, dtype=float)
-        self.train_y = np.asarray(self.train_y, dtype=float)
-        self.val_A = np.asarray(self.val_A, dtype=float)
-        self.val_y = np.asarray(self.val_y, dtype=float)
+        self.train_A, self.train_y = _regression_split(self.train_A, self.train_y, "train")
+        self.val_A, self.val_y = _regression_split(self.val_A, self.val_y, "val")
         if self.train_A.shape[1] != self.val_A.shape[1]:
             raise ValueError("train and val designs must share the feature dimension")
 
@@ -485,6 +570,8 @@ def make_synthetic_ridge(
     seed: int, m_tr: int = 50, m_val: int = 30, p: int = 5, noise: float = 0.1
 ) -> RidgeRegProblem:
     """Random Gaussian design with linear-model targets plus noise."""
+    if m_tr < 1 or m_val < 1:
+        raise ValueError(f"need at least one sample per split, got m_tr={m_tr}, m_val={m_val}")
     if p < 1:
         raise ValueError(f"feature dimension p must be >= 1, got {p}")
     rng = np.random.default_rng(seed)

@@ -477,9 +477,10 @@ class TestCliMain:
         ("sweep", {"problem": "ridge", "solver": {"iters": 3}, "sweep": {"seed": [0, -1]}}),
         ("run", {"problem": "hyperclean", "problem_params": {"p": 0}}),
         ("run", {"problem": "ridge", "problem_params": {"p": 0}}),
+        ("run", {"problem": "ridge", "problem_params": {"m_val": 0}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
-            "sweep-negative-seed", "hyperclean-p0", "ridge-p0"])
+            "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):

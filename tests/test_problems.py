@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bome import (
+    BilevelOracle,
     JointPoint,
     coreset_oracle,
     CoresetProblem,
@@ -15,9 +16,12 @@ from bome import (
     make_synthetic_hyperclean,
     make_synthetic_ridge,
     minimax_oracle,
+    RidgeRegProblem,
     ridge_oracle,
+    run,
     softmax,
     softmax_jacobian,
+    SolverConfig,
 )
 from bome.cli import PROBLEM_BUILDERS
 from bome.gradcheck import check_oracle_gradients
@@ -310,8 +314,10 @@ class TestHyperclean:
         (np.zeros((4, 2, 1)), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0, 1], "2-D"),
         (np.zeros((4, 2)), [0, 1, 0, -1], np.zeros((4, 2)), [0, 1, 0, -1], "integers >= 0"),
         (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0.0, 1.5, 0.0, 1.0], "integers"),
+        (np.zeros((0, 2)), np.zeros(0, int), np.zeros((4, 2)), [0, 1, 0, 1], "train split is empty"),
+        (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((0, 2)), np.zeros(0, int), "val split is empty"),
     ], ids=["train-rows", "val-labels", "labels-2d", "feature-count", "features-1d",
-            "features-3d", "negative-label", "fractional-label"])
+            "features-3d", "negative-label", "fractional-label", "train-empty", "val-empty"])
     def test_malformed_split_rejected(self, train_x, train_y, val_x, val_y, match):
         with pytest.raises(ValueError, match=match):
             HypercleanProblem(train_x, train_y, val_x, val_y)
@@ -325,6 +331,121 @@ class TestHyperclean:
     def test_generator_rejects_empty_feature_dimension(self, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             make_synthetic_hyperclean(seed=0, m_tr=10, m_val=6, p=p, corrupt_frac=0.2)
+
+
+def _fresh_per_call(prob: HypercleanProblem) -> BilevelOracle:
+    """The hyper-cleaning oracle with no memo state: every call builds a new
+    oracle and forwards to it."""
+    def forward(kind):
+        return lambda *args: getattr(hyperclean_oracle(prob), kind)(*args)
+
+    kinds = ("eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta")
+    return BilevelOracle(**{kind: forward(kind) for kind in kinds}, name="hyperclean")
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, float):
+        assert got == want
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:  # a JointGradient
+        assert np.array_equal(got.dv, want.dv) and np.array_equal(got.dtheta, want.dtheta)
+
+
+class TestHypercleanMemo:
+    """The oracle's per-point memos never change a result: every call matches,
+    bit for bit, the same call on an oracle that has made no call before."""
+
+    KINDS = ("eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta")
+
+    @staticmethod
+    def problem(rng, n_classes):
+        def split(m):
+            labels = rng.permutation(np.arange(m) % n_classes)
+            return rng.standard_normal((m, 3)) + 0.5 * labels[:, None], labels
+
+        (x_tr, y_tr), (x_val, y_val) = split(48), split(32)
+        return HypercleanProblem(x_tr, y_tr, x_val, y_val, ridge_c=0.01)
+
+    @staticmethod
+    def checked_call(memo, fresh, kind, v, theta):
+        args = (v, theta) if kind == "grad_g_theta" else (JointPoint._trusted(v, theta),)
+        want = getattr(fresh, kind)(*args)
+        got = getattr(memo, kind)(*args)
+        _assert_same_bits(got, want)
+        return got
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 8])
+    def test_random_interleavings_match_a_fresh_oracle(self, rng, n_classes):
+        prob = self.problem(rng, n_classes)
+        memo, fresh = hyperclean_oracle(prob), _fresh_per_call(prob)
+        # a small pool of points, so calls repeat; some weights sit exactly on
+        # the clip's kinks or outside [0, 1]
+        vs = [rng.uniform(-0.5, 1.5, prob.n_train) for _ in range(3)]
+        vs[0][:4] = [0.0, 1.0, -0.0, 1.0]
+        thetas = [0.3 * rng.standard_normal(prob.theta_dim) for _ in range(4)]
+        v, theta, last = vs[0], thetas[0], None
+        for _ in range(400):
+            op = rng.integers(10)
+            if op == 0:  # mutate the last call's v or theta in place, then
+                # call every kind at the new point the same arrays now hold
+                (v if rng.integers(2) else theta)[rng.integers(3)] += 0.25
+                for kind in rng.permutation(self.KINDS):
+                    self.checked_call(memo, fresh, kind, v, theta)
+            elif op == 1 and last is not None:  # mutate the last output, then
+                # repeat the call that returned it
+                got, kind = last
+                out = got if isinstance(got, np.ndarray) else got.dtheta
+                out[:] = 7.0
+                if not isinstance(got, np.ndarray):
+                    got.dv[:] = -7.0
+                self.checked_call(memo, fresh, kind, v, theta)
+            else:
+                kind = self.KINDS[rng.integers(len(self.KINDS))]
+                v, theta = vs[rng.integers(len(vs))], thetas[rng.integers(len(thetas))]
+                got = self.checked_call(memo, fresh, kind, v, theta)
+                last = None if isinstance(got, float) else (got, kind)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 8])
+    def test_bome_call_order_matches_a_fresh_oracle(self, rng, n_classes):
+        prob = self.problem(rng, n_classes)
+        memo, fresh = hyperclean_oracle(prob), _fresh_per_call(prob)
+        v = rng.uniform(0.0, 1.0, prob.n_train)
+        theta = 0.3 * rng.standard_normal(prob.theta_dim)
+        for step in range(6):
+            call = lambda kind, th: self.checked_call(memo, fresh, kind, v, th)  # noqa: E731
+            call("eval_g", theta)
+            theta_t = theta.copy()
+            for _ in range(3):
+                theta_t = theta_t - 0.01 * call("grad_g_theta", theta_t)
+            call("eval_g", theta_t)
+            gq = call("grad_g", theta)
+            call("grad_g", theta_t)
+            gq.dtheta *= 3.0  # the caller owns what it was handed
+            call("grad_g_theta", theta)
+            call("grad_f", theta)
+            call("eval_f", theta)
+            if step % 2 == 0:  # the next step keeps v, as with lambda = 0
+                theta -= 0.05 * gq.dtheta  # in place: the same array, a new point
+            else:  # or moves v in place, keeping theta
+                v += 0.02 * rng.standard_normal(v.size)
+
+    def test_criterion_10_size_run_matches_a_fresh_oracle_per_call(self):
+        prob = make_synthetic_hyperclean(seed=0, m_tr=300, m_val=100, p=10, corrupt_frac=0.3)
+        v0 = 0.5 * np.ones(prob.n_train)
+        pre = inner_descent(hyperclean_oracle(prob), v0, np.zeros(prob.theta_dim), 50, 1e-3)
+        cfg = SolverConfig(outer_step_xi=1e-3, inner_iters_T=10, xi_v=3.0, momentum_beta=0.9,
+                           max_outer_iters_K=30, kkt_eval_every=1)
+        runs = [run(oracle, JointPoint(v0, pre.theta_T), cfg)
+                for oracle in (hyperclean_oracle(prob), _fresh_per_call(prob))]
+        for trace in runs:
+            for rec in trace.records:
+                rec.wall_time_micros = 0
+        got, want = runs
+        assert len(got.records) == 30 and got.records == want.records
+        assert np.array_equal(got.final_point.v, want.final_point.v)
+        assert np.array_equal(got.final_point.theta, want.final_point.theta)
+        assert got.final_f == want.final_f and got.final_kkt.total == want.final_kkt.total
 
 
 class TestRidge:
@@ -366,6 +487,24 @@ class TestRidge:
     def test_generator_rejects_empty_feature_dimension(self, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             make_synthetic_ridge(seed=0, p=p)
+
+    @pytest.mark.parametrize("m_tr, m_val", [(0, 30), (50, 0), (-1, 30)])
+    def test_generator_rejects_empty_split(self, m_tr, m_val):
+        with pytest.raises(ValueError, match="at least one sample per split"):
+            make_synthetic_ridge(seed=0, m_tr=m_tr, m_val=m_val)
+
+    @pytest.mark.parametrize("train_A, train_y, val_A, val_y, match", [
+        (np.zeros((4, 2)), np.zeros(5), np.zeros((3, 2)), np.zeros(3), "one target per"),
+        (np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)), np.zeros((3, 1)), "one target per"),
+        (np.zeros(4), np.zeros(4), np.zeros((3, 2)), np.zeros(3), "2-D"),
+        (np.zeros((0, 2)), np.zeros(0), np.zeros((3, 2)), np.zeros(3), "train split is empty"),
+        (np.zeros((4, 2)), np.zeros(4), np.zeros((0, 2)), np.zeros(0), "val split is empty"),
+        (np.zeros((4, 2)), np.zeros(4), np.zeros((3, 3)), np.zeros(3), "feature dimension"),
+    ], ids=["train-targets", "val-targets-2d", "design-1d", "train-empty", "val-empty",
+            "feature-count"])
+    def test_malformed_split_rejected(self, train_A, train_y, val_A, val_y, match):
+        with pytest.raises(ValueError, match=match):
+            RidgeRegProblem(train_A, train_y, val_A, val_y)
 
     def test_generator_deterministic(self):
         a = make_synthetic_ridge(seed=11)
