@@ -137,8 +137,6 @@ def bome_step(
     phi = compute_phi(cfg.barrier_kind, cfg.eta, q_hat, gq_norm)
     lam = compute_lambda(gf, gq, phi)
     delta = joint_axpy(gf, lam, gq)
-    if not delta.is_finite():
-        raise NumericalError("non-finite update direction")
 
     if cfg.momentum_beta > 0.0 and velocity is not None:
         velocity = joint_axpy(delta, cfg.momentum_beta, velocity)

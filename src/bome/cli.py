@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import itertools
 import json
 import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -128,76 +129,56 @@ _CORESET_PRESETS = {
 _CORESET_PRESETS["default"] = _CORESET_PRESETS["start1"]
 
 
-def _build_coreset(params: dict, seed: int):
-    allowed = {"x0", "vertices"}
-    _reject_unknown(params, allowed, "problem_params")
-    prob = CoresetProblem()
+def _coreset(params: dict, seed: int):
+    _reject_unknown(params, {"x0", "vertices"}, "problem_params")
+    fields = {}
     if "x0" in params:
-        prob = CoresetProblem(target_x0=np.asarray(params["x0"], dtype=float),
-                              vertices_X=prob.vertices_X)
+        fields["target_x0"] = params["x0"]
     if "vertices" in params:
-        prob = CoresetProblem(target_x0=prob.target_x0,
-                              vertices_X=np.asarray(params["vertices"], dtype=float).T)
-    return coreset_oracle(prob), _CORESET_PRESETS
+        # one vertex per row in the config, one per column in the problem
+        fields["vertices_X"] = np.asarray(params["vertices"], dtype=float).T
+    return coreset_oracle(CoresetProblem(**fields)), _CORESET_PRESETS
 
 
-def _build_minimax(params: dict, seed: int):
-    _reject_unknown(params, set(), "problem_params")
-    presets = {"default": (np.array([1.0]), np.array([1.0]))}
-    return minimax_oracle(), presets
+def _fixed(make, v0: list, theta0: list):
+    """A builder for a problem without parameters and one default start."""
+
+    def build(params: dict, seed: int):
+        _reject_unknown(params, set(), "problem_params")
+        return make(), {"default": (np.array(v0), np.array(theta0))}
+
+    return build
 
 
-def _build_lls(params: dict, seed: int):
-    _reject_unknown(params, set(), "problem_params")
-    presets = {"default": (np.array([0.0]), np.array([0.0, 3.0]))}
-    return lls_oracle(), presets
+def _synthetic(make, oracle, start):
+    """A builder for ``make``'s problems: its keywords are the problem_params,
+    the seed defaults to the solver's, and ``start(prob)`` is the default."""
+    allowed = set(inspect.signature(make).parameters)
+
+    def build(params: dict, seed: int):
+        _reject_unknown(params, allowed, "problem_params")
+        prob = make(**{"seed": seed, **params})
+        return oracle(prob), {"default": start(prob)}
+
+    return build
 
 
-def _build_hyperclean(params: dict, seed: int):
-    allowed = {"seed", "m_tr", "m_val", "p", "corrupt_frac", "ridge_c"}
-    _reject_unknown(params, allowed, "problem_params")
-    prob = make_synthetic_hyperclean(
-        seed=params.get("seed", seed),
-        m_tr=params.get("m_tr", 300),
-        m_val=params.get("m_val", 100),
-        p=params.get("p", 10),
-        corrupt_frac=params.get("corrupt_frac", 0.3),
-    )
-    if "ridge_c" in params:
-        # rebuilt rather than assigned, so that __post_init__ validates it
-        prob = replace(prob, ridge_c=float(params["ridge_c"]))
-    presets = {"default": (0.5 * np.ones(prob.n_train), np.zeros(prob.theta_dim))}
-    return hyperclean_oracle(prob), presets
-
-
-def _build_ridge(params: dict, seed: int):
-    allowed = {"seed", "m_tr", "m_val", "p", "noise"}
-    _reject_unknown(params, allowed, "problem_params")
-    prob = make_synthetic_ridge(
-        seed=params.get("seed", seed),
-        m_tr=params.get("m_tr", 50),
-        m_val=params.get("m_val", 30),
-        p=params.get("p", 5),
-        noise=params.get("noise", 0.1),
-    )
-    presets = {"default": (np.zeros(prob.dim), np.zeros(prob.dim))}
-    return ridge_oracle(prob), presets
-
-
-PROBLEM_BUILDERS = {
-    "coreset": _build_coreset,
-    "minimax": _build_minimax,
-    "lls": _build_lls,
-    "hyperclean": _build_hyperclean,
-    "ridge": _build_ridge,
-}
-
-PROBLEM_DESCRIPTIONS = {
-    "coreset": "project a target onto a softmax-weighted convex hull (v in R^4, theta in R^2)",
-    "minimax": "scalar bilinear game min_v max_theta v*theta; optimum at the origin",
-    "lls": "least squares with a line of inner minimizers (degenerate inner problem)",
-    "hyperclean": "learn per-sample training weights against corrupted labels (synthetic)",
-    "ridge": "learn per-coefficient ridge scales with a closed-form inner solve (synthetic)",
+# name -> (description, builder); a builder takes the problem_params and the
+# solver seed and returns the oracle and its start presets.
+PROBLEMS = {
+    "coreset": ("project a target onto a softmax-weighted convex hull (v in R^4, theta in R^2)",
+                _coreset),
+    "minimax": ("scalar bilinear game min_v max_theta v*theta; optimum at the origin",
+                _fixed(minimax_oracle, [1.0], [1.0])),
+    "lls": ("least squares with a line of inner minimizers (degenerate inner problem)",
+            _fixed(lls_oracle, [0.0], [0.0, 3.0])),
+    "hyperclean": ("learn per-sample training weights against corrupted labels (synthetic)",
+                   _synthetic(make_synthetic_hyperclean, hyperclean_oracle,
+                              lambda prob: (0.5 * np.ones(prob.n_train),
+                                            np.zeros(prob.theta_dim)))),
+    "ridge": ("learn per-coefficient ridge scales with a closed-form inner solve (synthetic)",
+              _synthetic(make_synthetic_ridge, ridge_oracle,
+                         lambda prob: (np.zeros(prob.dim), np.zeros(prob.dim)))),
 }
 
 
@@ -209,8 +190,7 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
 
 def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
     """Instantiate the oracle and the resolved start point for a config."""
-    builder = PROBLEM_BUILDERS[cfg.problem]
-    oracle, presets = builder(cfg.problem_params, cfg.solver.rng_seed)
+    oracle, presets = PROBLEMS[cfg.problem][1](cfg.problem_params, cfg.solver.rng_seed)
     if isinstance(cfg.start, str):
         if cfg.start not in presets:
             raise ConfigurationError(
@@ -281,9 +261,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     errors: list[str] = []
     problem = raw.get("problem")
-    if problem not in PROBLEM_BUILDERS:
+    if problem not in PROBLEMS:
         errors.append(
-            f"problem must be one of {sorted(PROBLEM_BUILDERS)}, got {problem!r}"
+            f"problem must be one of {sorted(PROBLEMS)}, got {problem!r}"
         )
     method = raw.get("method", "bome")
     if method not in _METHODS:
@@ -526,10 +506,10 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
 
 def _cmd_gradcheck(args) -> int:
     name = args.problem
-    if name not in PROBLEM_BUILDERS:
+    if name not in PROBLEMS:
         print(f"unknown problem {name!r}", file=sys.stderr)
         return 2
-    oracle, presets = PROBLEM_BUILDERS[name]({}, args.seed)
+    oracle, presets = PROBLEMS[name][1]({}, args.seed)
     v0, theta0 = presets["default"]
     rng = np.random.default_rng(args.seed)
     points = []
@@ -558,8 +538,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_list_problems() -> int:
-    for name in sorted(PROBLEM_BUILDERS):
-        print(f"{name:<12} {PROBLEM_DESCRIPTIONS[name]}")
+    for name, (description, _) in sorted(PROBLEMS.items()):
+        print(f"{name:<12} {description}")
     return 0
 
 

@@ -113,9 +113,6 @@ class JointGradient:
     def norm(self) -> float:
         return float(np.sqrt(np.dot(self.dv, self.dv) + np.dot(self.dtheta, self.dtheta)))
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.dv).all() and np.isfinite(self.dtheta).all())
-
 
 def joint_dot(a: JointGradient, b: JointGradient) -> float:
     """Inner product of two joint gradients."""

@@ -67,26 +67,53 @@ class CoresetProblem:
             raise ValueError("vertices_X must be (dim, n_vertices) with dim matching x0")
 
 
+def _keyed_memo(fill, size: int = 1):
+    """Keep ``fill(x)`` for the last ``size`` distinct x, newest first, keyed
+    by the bytes of x. Calling the memo returns the kept result for x, filling
+    it on a miss and dropping the oldest entry beyond ``size``; ``memo.peek(x)``
+    returns the kept result or None and never fills. A hit does not reorder
+    the entries. Results are shared: a caller copies any kept array it returns.
+    """
+    entries: list = []  # (key, result), newest first
+
+    def memo(x: np.ndarray):
+        key = x.tobytes()
+        for kept, result in entries:
+            if kept == key:
+                return result
+        result = fill(x)
+        entries[:] = [(key, result), *entries[: size - 1]]
+        return result
+
+    # peek does not refer to memo: a reference cycle would keep evicted
+    # entries alive until the cyclic garbage collector runs
+    def peek(x: np.ndarray):
+        key = x.tobytes()
+        for kept, result in entries:
+            if kept == key:
+                return result
+        return None
+
+    memo.peek = peek
+    return memo
+
+
 def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
     """Oracle for the coreset problem; the inner optimum is X softmax(v)."""
     if prob is None:
         prob = CoresetProblem()
     x0, X = prob.target_x0, prob.vertices_X
     n_vert = X.shape[1]
-    # one-slot memo: the inner loop evaluates many thetas at a fixed v, so
+
+    def solve(v: np.ndarray) -> tuple:
+        sigma = softmax(v)
+        return sigma, X @ sigma
+
+    # one entry per v: the inner loop evaluates many thetas at a fixed v, so
     # softmax(v), the inner optimum X softmax(v) and the softmax Jacobian are
     # computed once per v (the Jacobian only when a v-gradient asks for it)
-    cache = {"key": None, "sigma": None, "target": None, "jac": None}
-
-    def refresh(v: np.ndarray) -> dict:
-        key = v.tobytes()
-        if key != cache["key"]:
-            sigma = softmax(v)
-            cache["sigma"] = sigma
-            cache["target"] = X @ sigma
-            cache["jac"] = None
-            cache["key"] = key
-        return cache
+    inner = _keyed_memo(solve)
+    jacobian = _keyed_memo(lambda v: softmax_jacobian(inner(v)[0]))
 
     def eval_f(p: JointPoint) -> float:
         d = p.theta - x0
@@ -96,22 +123,19 @@ def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
         return JointGradient(np.zeros(n_vert), 2.0 * (p.theta - x0))
 
     def inner_target(v: np.ndarray) -> np.ndarray:
-        return refresh(np.asarray(v, dtype=float))["target"].copy()
+        return inner(np.asarray(v, dtype=float))[1].copy()
 
     def eval_g(p: JointPoint) -> float:
-        d = p.theta - refresh(np.asarray(p.v, dtype=float))["target"]
+        d = p.theta - inner(p.v)[1]
         return float(d @ d)
 
     def grad_g(p: JointPoint) -> JointGradient:
-        memo = refresh(np.asarray(p.v, dtype=float))
-        if memo["jac"] is None:
-            memo["jac"] = softmax_jacobian(memo["sigma"])
-        d = p.theta - memo["target"]
-        dv = -2.0 * memo["jac"] @ (X.T @ d)
+        d = p.theta - inner(p.v)[1]
+        dv = -2.0 * jacobian(p.v) @ (X.T @ d)
         return JointGradient(dv, 2.0 * d)
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (theta - refresh(np.asarray(v, dtype=float))["target"])
+        return 2.0 * (theta - inner(np.asarray(v, dtype=float))[1])
 
     return BilevelOracle(
         eval_f=eval_f,
@@ -212,8 +236,8 @@ def lls_oracle() -> BilevelOracle:
 
 
 def _split_rows(features, split: str) -> np.ndarray:
-    """One split's features (or design) as a float (m, p) array with m >= 1;
-    raises ValueError for any other shape."""
+    """One split's features (or design) as a finite float (m, p) array with
+    m >= 1; raises ValueError otherwise."""
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError(
@@ -221,6 +245,8 @@ def _split_rows(features, split: str) -> np.ndarray:
         )
     if features.shape[0] < 1:
         raise ValueError(f"{split} split is empty: it needs at least one sample")
+    if not np.isfinite(features).all():
+        raise ValueError(f"{split} features contain non-finite values")
     return features
 
 
@@ -301,7 +327,8 @@ class HypercleanProblem:
 
 
 def make_synthetic_hyperclean(
-    seed: int, m_tr: int, m_val: int, p: int, corrupt_frac: float
+    seed: int, m_tr: int = 300, m_val: int = 100, p: int = 10, corrupt_frac: float = 0.3,
+    ridge_c: float = HypercleanProblem.ridge_c,
 ) -> HypercleanProblem:
     """Two Gaussian clusters (one per class), balanced splits, with a fraction
     of training labels flipped to the wrong class.
@@ -338,6 +365,7 @@ def make_synthetic_hyperclean(
         train_labels=train_y,
         val_features=val_x,
         val_labels=val_y,
+        ridge_c=float(ridge_c),
         corruption_mask=mask,
     )
 
@@ -382,19 +410,6 @@ def _label_onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-class _ScorePass:
-    """What one score pass at one theta gave: the per-sample losses and the
-    class-major residual (softmax probabilities minus one-hot labels), keyed
-    by the bytes of theta. A training pass also keeps the theta-block of
-    grad g, keyed by the bytes of the v whose clipped weights formed it."""
-
-    __slots__ = ("key", "losses", "residual", "block", "block_v")
-
-    def __init__(self, key: bytes, losses: np.ndarray, residual: np.ndarray):
-        self.key, self.losses, self.residual = key, losses, residual
-        self.block = self.block_v = None
-
-
 def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     """Oracle for the reweighting problem.
 
@@ -410,13 +425,14 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
 
     The oracle keeps per-point memos, so a repeated point costs no second
     score pass: the last two training passes that ``eval_g`` or ``grad_g``
-    made (in a BOME step, at the start point and at theta^(T)), the last
-    validation pass, and ``clip(v)`` with its open-interval mask for the last
-    v. ``grad_g_theta`` reads the training memo but does not fill it, so the
-    inner iterates never evict the start point. Keys are the bytes of the
-    inputs and every hit returns fresh arrays, so a caller may mutate its
-    inputs and outputs freely. The memos make the oracle stateful: one oracle
-    object must not be shared across threads.
+    made (in a BOME step, at the start point and at theta^(T)), each with the
+    theta block of grad g for the last v, the last validation pass, and
+    ``clip(v)`` with its open-interval mask for the last v. ``grad_g_theta``
+    reads the training memo but does not fill it, so the inner iterates never
+    evict the start point. Keys are the bytes of the inputs and every hit
+    returns fresh arrays, so a caller may mutate its inputs and outputs
+    freely. The memos make the oracle stateful: one oracle object must not be
+    shared across threads.
     """
     x_tr = _augment(prob.train_features)
     x_val = _augment(prob.val_features)
@@ -431,15 +447,9 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
     pick_tr = prob.train_labels * prob.n_train + np.arange(prob.n_train)
     pick_val = prob.val_labels * prob.val_labels.size + np.arange(prob.val_labels.size)
     theta_shape = (x_tr.shape[1], n_classes)
-    train_memo: list[_ScorePass] = []  # newest first, at most two
-    val_memo: list[Optional[_ScorePass]] = [None]
-    v_memo: list = [None]  # (bytes of v, clip(v, [0, 1]), open-interval mask)
 
     def score(x_t: np.ndarray, theta: np.ndarray):
         return _shifted_scores(x_t, theta.reshape(theta_shape))
-
-    def losses(scores: np.ndarray, log_z: np.ndarray, pick: np.ndarray) -> np.ndarray:
-        return log_z - scores.ravel()[pick]
 
     def residuals(scores: np.ndarray, log_z: np.ndarray, onehot: np.ndarray) -> np.ndarray:
         # softmax probabilities minus the one-hot labels, formed in place
@@ -448,72 +458,52 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
         scores -= onehot
         return scores
 
-    def score_pass(x_t, theta, key, pick, onehot) -> _ScorePass:
+    def score_pass(x_t, theta, pick, onehot) -> tuple:
         scores, log_z = score(x_t, theta)
         # the losses are gathered before the residual overwrites the scores
-        return _ScorePass(key, losses(scores, log_z, pick), residuals(scores, log_z, onehot))
+        return log_z - scores.ravel()[pick], residuals(scores, log_z, onehot)
 
-    def weights(v: np.ndarray) -> tuple:
-        key = v.tobytes()
-        memo = v_memo[0]
-        if memo is None or memo[0] != key:
-            memo = v_memo[0] = (key, np.clip(v, 0.0, 1.0), (v > 0.0) & (v < 1.0))
-        return memo
+    # clip(v, [0, 1]) and the open-interval mask
+    weights = _keyed_memo(lambda v: (np.clip(v, 0.0, 1.0), (v > 0.0) & (v < 1.0)))
+    val_pass = _keyed_memo(lambda theta: score_pass(xt_val, theta, pick_val, y_val_onehot))
 
-    def train_lookup(theta: np.ndarray):
-        key = theta.tobytes()
-        for entry in train_memo:
-            if entry.key == key:
-                return key, entry
-        return key, None
+    def train_fill(theta: np.ndarray) -> tuple:
+        # the losses and the theta block of grad g, formed once per v; the
+        # block keeps a copy of theta, as the caller may mutate its own
+        loss, residual = score_pass(xt_tr, theta, pick_tr, y_tr_onehot)
+        theta = theta.copy()
+        block = _keyed_memo(
+            lambda v: (x_tr.T @ (residual * weights(v)[0]).T).ravel() + 2.0 * c * theta
+        )
+        return loss, block
 
-    def train_pass(theta: np.ndarray) -> _ScorePass:
-        key, entry = train_lookup(theta)
-        if entry is None:
-            entry = score_pass(xt_tr, theta, key, pick_tr, y_tr_onehot)
-            train_memo[:] = [entry, *train_memo[:1]]
-        return entry
-
-    def theta_block(entry: _ScorePass, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        # the theta block of grad g from a kept pass, formed once per v
-        v_key, w, _ = weights(v)
-        if entry.block_v != v_key:
-            entry.block = (x_tr.T @ (entry.residual * w).T).ravel() + 2.0 * c * theta
-            entry.block_v = v_key
-        return entry.block.copy()
-
-    def val_pass(theta: np.ndarray) -> _ScorePass:
-        key = theta.tobytes()
-        entry = val_memo[0]
-        if entry is None or entry.key != key:
-            entry = val_memo[0] = score_pass(xt_val, theta, key, pick_val, y_val_onehot)
-        return entry
+    train_pass = _keyed_memo(train_fill, size=2)
 
     def eval_f(p: JointPoint) -> float:
-        return float(val_pass(p.theta).losses.mean())
+        return float(val_pass(p.theta)[0].mean())
 
     def grad_f(p: JointPoint) -> JointGradient:
-        grad_mat = x_val.T @ val_pass(p.theta).residual.T / x_val.shape[0]
+        grad_mat = x_val.T @ val_pass(p.theta)[1].T / x_val.shape[0]
         return JointGradient(np.zeros(prob.n_train), grad_mat.ravel())
 
     def eval_g(p: JointPoint) -> float:
-        return float(weights(p.v)[1] @ train_pass(p.theta).losses + c * (p.theta @ p.theta))
+        return float(weights(p.v)[0] @ train_pass(p.theta)[0] + c * (p.theta @ p.theta))
 
     def grad_g(p: JointPoint) -> JointGradient:
-        entry = train_pass(p.theta)
-        dv = np.where(weights(p.v)[2], entry.losses, 0.0)
-        return JointGradient(dv, theta_block(entry, p.v, p.theta))
+        loss, block = train_pass(p.theta)
+        dv = np.where(weights(p.v)[1], loss, 0.0)
+        return JointGradient(dv, block(p.v).copy())
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        _, entry = train_lookup(theta)
-        if entry is not None:
-            return theta_block(entry, v, theta)
+        kept = train_pass.peek(theta)
+        if kept is not None:
+            return kept[1](v).copy()
         # an inner iterate: one pass whose scores become the weighted
         # residual in place, and nothing kept
         scores, log_z = score(xt_tr, theta)
         r = residuals(scores, log_z, y_tr_onehot)
-        r *= weights(v)[1]
+        r *= weights(v)[0]
         return (x_tr.T @ r.T).ravel() + 2.0 * c * theta
 
     return BilevelOracle(
@@ -534,8 +524,8 @@ def hyperclean_oracle(prob: HypercleanProblem) -> BilevelOracle:
 
 
 def _regression_split(design, targets, split: str):
-    """One split's design as a float (m, p) array with m >= 1 and its targets
-    as m floats; raises ValueError for any other shape."""
+    """One split's design as a finite float (m, p) array with m >= 1 and its
+    targets as m finite floats; raises ValueError otherwise."""
     design = _split_rows(design, split)
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (design.shape[0],):
@@ -543,6 +533,8 @@ def _regression_split(design, targets, split: str):
             f"{split} split needs one target per design row: got targets of shape "
             f"{targets.shape} for {design.shape[0]} rows"
         )
+    if not np.isfinite(targets).all():
+        raise ValueError(f"{split} targets contain non-finite values")
     return design, targets
 
 

@@ -13,6 +13,8 @@ from bome import (
     ConfigurationError,
     JointPoint,
     SolverConfig,
+    hyperclean_oracle,
+    make_synthetic_hyperclean,
     minimax_oracle,
     run,
 )
@@ -130,9 +132,27 @@ class TestParseConfig:
         plans = expand_sweep(parse_config(json.dumps(doc)))
         assert [(p.solver.xi_v, p.solver.xi_theta) for p in plans] == [(1.0, 0.01), (1.0, 0.1)]
 
-    def test_unknown_problem_params_rejected(self):
-        with pytest.raises(ConfigurationError, match="problem_params"):
-            parse_config('{"problem": "ridge", "problem_params": {"samples": 10}}')
+    @pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+    def test_unknown_problem_params_rejected(self, problem):
+        doc = {"problem": problem, "problem_params": {"samples": 10}}
+        with pytest.raises(ConfigurationError, match="problem_params field.*samples"):
+            parse_config(json.dumps(doc))
+
+    def test_hyperclean_defaults_are_the_generator_defaults(self, rng):
+        # an empty problem_params draws make_synthetic_hyperclean's defaults
+        # (the sizes, corruption and ridge_c the CLI has always used) with
+        # the solver seed
+        oracle, start = build_experiment(
+            parse_config('{"problem": "hyperclean", "solver": {"seed": 4}}'))
+        prob = make_synthetic_hyperclean(seed=4)
+        assert (prob.n_train, prob.val_labels.size, prob.n_features) == (300, 100, 10)
+        assert prob.corruption_mask.sum() == 90 and prob.ridge_c == 0.001
+        assert start.v.shape == (300,) and start.theta.shape == (prob.theta_dim,)
+        want = hyperclean_oracle(prob)
+        for _ in range(5):
+            p = JointPoint(rng.uniform(-0.5, 1.5, 300), rng.standard_normal(prob.theta_dim))
+            assert oracle.eval_f(p) == want.eval_f(p) and oracle.eval_g(p) == want.eval_g(p)
+            assert np.array_equal(oracle.grad_g(p).dtheta, want.grad_g(p).dtheta)
 
     def test_coreset_custom_geometry(self):
         cfg = parse_config(

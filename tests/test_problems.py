@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,9 @@ from bome import (
     softmax_jacobian,
     SolverConfig,
 )
-from bome.cli import PROBLEM_BUILDERS
+from bome.cli import PROBLEMS
 from bome.gradcheck import check_oracle_gradients
+from bome.problems import _keyed_memo
 from conftest import brute_simplex_projection
 
 vec4 = st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=4, max_size=4).map(np.array)
@@ -316,8 +320,13 @@ class TestHyperclean:
         (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 2)), [0.0, 1.5, 0.0, 1.0], "integers"),
         (np.zeros((0, 2)), np.zeros(0, int), np.zeros((4, 2)), [0, 1, 0, 1], "train split is empty"),
         (np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((0, 2)), np.zeros(0, int), "val split is empty"),
+        (np.full((4, 2), np.nan), [0, 1, 0, 1], np.zeros((4, 2)), [0, 1, 0, 1],
+         "train features contain non-finite"),
+        (np.zeros((4, 2)), [0, 1, 0, 1], np.full((4, 2), -np.inf), [0, 1, 0, 1],
+         "val features contain non-finite"),
     ], ids=["train-rows", "val-labels", "labels-2d", "feature-count", "features-1d",
-            "features-3d", "negative-label", "fractional-label", "train-empty", "val-empty"])
+            "features-3d", "negative-label", "fractional-label", "train-empty", "val-empty",
+            "train-nan", "val-inf"])
     def test_malformed_split_rejected(self, train_x, train_y, val_x, val_y, match):
         with pytest.raises(ValueError, match=match):
             HypercleanProblem(train_x, train_y, val_x, val_y)
@@ -448,6 +457,89 @@ class TestHypercleanMemo:
         assert got.final_f == want.final_f and got.final_kkt.total == want.final_kkt.total
 
 
+def test_keyed_memo_is_freed_by_reference_counting():
+    # the hyper-cleaning oracle drops an evicted training pass together with
+    # its theta-block memo; a memo in a reference cycle would keep the pass's
+    # arrays alive until the cyclic collector runs
+    gc.disable()
+    try:
+        memo = _keyed_memo(np.copy)
+        memo.peek(np.zeros(3))
+        memo(np.zeros(3))
+        ref = weakref.ref(memo)
+        del memo
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fill", ["eval_g", "grad_g"])
+def test_hyperclean_memo_outlives_the_callers_theta(rng, fill):
+    # a kept training pass forms its theta block lazily, for each new v; the
+    # caller may have overwritten the theta array that filled it by then
+    prob = TestHypercleanMemo.problem(rng, 3)
+    memo = hyperclean_oracle(prob)
+    v, theta = rng.uniform(0.0, 1.0, prob.n_train), 0.3 * rng.standard_normal(prob.theta_dim)
+    point = theta.copy()
+    getattr(memo, fill)(JointPoint._trusted(v, theta))
+    theta += 1.0
+    for v_next in (v, rng.uniform(0.0, 1.0, prob.n_train)):
+        _assert_same_bits(memo.grad_g_theta(v_next, point),
+                          hyperclean_oracle(prob).grad_g_theta(v_next, point))
+
+
+class TestCoresetMemo:
+    """The coreset oracle's per-v memo never changes a result: every call on
+    one long-lived oracle matches, bit for bit, the same call on an oracle
+    that has made no call before."""
+
+    KINDS = ("eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta", "exact_inner_opt")
+
+    @staticmethod
+    def checked_call(prob, memo, kind, v, theta):
+        if kind == "grad_g_theta":
+            args = (v, theta)
+        elif kind == "exact_inner_opt":
+            args = (v,)
+        else:
+            args = (JointPoint._trusted(v, theta),)
+        want = getattr(coreset_oracle(prob), kind)(*args)
+        got = getattr(memo, kind)(*args)
+        _assert_same_bits(got, want)
+        return got
+
+    @pytest.mark.parametrize("shape", [None, (3, 5)])
+    def test_random_interleavings_match_a_fresh_oracle(self, rng, shape):
+        # None: the default geometry; else a random (dim, n_vertices) instance
+        prob = CoresetProblem() if shape is None else CoresetProblem(
+            rng.standard_normal(shape[0]), rng.standard_normal(shape))
+        memo = coreset_oracle(prob)
+        dim, n_vert = prob.vertices_X.shape
+        vs = [rng.standard_normal(n_vert) for _ in range(3)]
+        thetas = [rng.standard_normal(dim) for _ in range(3)]
+        v, theta, last = vs[0], thetas[0], None
+        for _ in range(600):
+            op = rng.integers(10)
+            if op == 0:  # mutate the last call's v or theta in place, then
+                # call every kind at the new point the same arrays now hold
+                (v if rng.integers(2) else theta)[rng.integers(2)] += 0.25
+                for kind in rng.permutation(self.KINDS):
+                    self.checked_call(prob, memo, kind, v, theta)
+            elif op == 1 and last is not None:  # mutate the last output, then
+                # repeat the call that returned it
+                got, kind = last
+                out = got if isinstance(got, np.ndarray) else got.dtheta
+                out[:] = 7.0
+                if not isinstance(got, np.ndarray):
+                    got.dv[:] = -7.0
+                self.checked_call(prob, memo, kind, v, theta)
+            else:
+                kind = self.KINDS[rng.integers(len(self.KINDS))]
+                v, theta = vs[rng.integers(len(vs))], thetas[rng.integers(len(thetas))]
+                got = self.checked_call(prob, memo, kind, v, theta)
+                last = None if isinstance(got, float) else (got, kind)
+
+
 class TestRidge:
     def test_unregularized_limit(self):
         prob = make_synthetic_ridge(seed=0)
@@ -500,8 +592,12 @@ class TestRidge:
         (np.zeros((0, 2)), np.zeros(0), np.zeros((3, 2)), np.zeros(3), "train split is empty"),
         (np.zeros((4, 2)), np.zeros(4), np.zeros((0, 2)), np.zeros(0), "val split is empty"),
         (np.zeros((4, 2)), np.zeros(4), np.zeros((3, 3)), np.zeros(3), "feature dimension"),
+        (np.full((4, 2), np.inf), np.zeros(4), np.zeros((3, 2)), np.zeros(3),
+         "train features contain non-finite"),
+        (np.zeros((4, 2)), np.zeros(4), np.zeros((3, 2)), [0.0, np.nan, 0.0],
+         "val targets contain non-finite"),
     ], ids=["train-targets", "val-targets-2d", "design-1d", "train-empty", "val-empty",
-            "feature-count"])
+            "feature-count", "train-design-inf", "val-targets-nan"])
     def test_malformed_split_rejected(self, train_A, train_y, val_A, val_y, match):
         with pytest.raises(ValueError, match=match):
             RidgeRegProblem(train_A, train_y, val_A, val_y)
@@ -547,11 +643,11 @@ class TestDatasetExport:
             export_dataset_csv(prob, tmp_path / "x.csv", split="test")
 
 
-@pytest.mark.parametrize("problem", sorted(PROBLEM_BUILDERS))
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_grad_g_theta_block_is_inner_gradient_bit_for_bit(rng, problem):
     # the inner loop's first gradient grad_g_theta(v, theta) may stand in for
     # the theta block of grad_g at the same point only if the bits agree
-    oracle, presets = PROBLEM_BUILDERS[problem]({}, 0)
+    oracle, presets = PROBLEMS[problem][1]({}, 0)
     v0, theta0 = presets["default"]
     for _ in range(200):
         v = rng.uniform(-0.5, 1.5, v0.size)

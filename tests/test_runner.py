@@ -265,6 +265,30 @@ class TestFailuresEndTheRun:
         assert all(np.isfinite(r.f_value) for r in trace.records)
         assert trace.final_f is None
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_non_finite_grad_f_mid_run(self, momentum):
+        # grad_f turns NaN in its v block from step 5 on (one grad_f call per
+        # minimax step); the NaN direction makes the new iterate non-finite
+        oracle = minimax_oracle()
+        clean_grad_f, calls = oracle.grad_f, 0
+
+        def grad_f(p):
+            nonlocal calls
+            calls += 1
+            g = clean_grad_f(p)
+            if calls > 5:
+                g.dv[:] = np.nan
+            return g
+
+        oracle = dataclasses.replace(oracle, grad_f=grad_f)
+        cfg = SolverConfig(outer_step_xi=0.05, momentum_beta=momentum,
+                           max_outer_iters_K=50, kkt_eval_every=100)
+        trace = run(oracle, JointPoint([1.0], [1.0]), cfg)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert [r.iter_k for r in trace.records] == list(range(5))
+        assert all(np.isfinite(r.delta_norm) for r in trace.records)
+        assert np.isfinite(trace.final_point.v).all()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_norm_mid_run(self):
         # GDA's iterate norm grows until the direction norm overflows while f
