@@ -10,6 +10,7 @@ closed-form multiplier lambda is the smallest nonnegative value making
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,9 +42,10 @@ class BarrierSolution:
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
     holds for it whenever grad_qhat is nonzero. ``velocity`` is the direction
     the step applied: the heavy-ball velocity beta * velocity + delta under
-    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat`` and ``q_hat``
-    are the plug-in quantities at the point the step was taken from, which is
-    all a proxy stationarity score there needs.
+    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat``, ``q_hat`` and
+    the reductions ``grad_qhat_sq`` = ||grad_qhat||^2 and ``grad_f_dot_qhat``
+    = <grad_f, grad_qhat> belong to the point the step was taken from, which
+    is all a proxy stationarity score there needs.
     """
 
     lam: float
@@ -55,6 +57,8 @@ class BarrierSolution:
     inner_result: InnerResult
     grad_qhat_norm: float
     velocity: JointGradient
+    grad_qhat_sq: float
+    grad_f_dot_qhat: float
 
 
 def q_hat_value(oracle: BilevelOracle, v, theta, theta_T) -> float:
@@ -80,7 +84,7 @@ def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
     v = np.asarray(v, dtype=float)
     g_here = oracle.grad_g(JointPoint._trusted(v, theta))
     g_at_T = oracle.grad_g(JointPoint._trusted(v, theta_T))
-    return JointGradient(dv=g_here.dv - g_at_T.dv, dtheta=g_here.dtheta)
+    return JointGradient._trusted(g_here.dv - g_at_T.dv, g_here.dtheta)
 
 
 def compute_phi(kind: BarrierKind, eta: float, q_hat: float, grad_qhat_norm: float) -> float:
@@ -105,10 +109,14 @@ def compute_lambda(grad_f: JointGradient, grad_qhat: JointGradient, phi: float) 
     lambda = max((phi - <grad_f, grad_qhat>) / ||grad_qhat||^2, 0), and
     lambda = 0 when grad_qhat vanishes.
     """
-    sq = joint_dot(grad_qhat, grad_qhat)
+    return _barrier_multiplier(joint_dot(grad_qhat, grad_qhat), joint_dot(grad_f, grad_qhat), phi)
+
+
+def _barrier_multiplier(sq: float, gfq: float, phi: float) -> float:
+    # lambda from sq = ||grad_qhat||^2 and gfq = <grad_f, grad_qhat>
     if sq <= ZERO_GRAD_SQ_FLOOR:
         return 0.0
-    return max((phi - joint_dot(grad_f, grad_qhat)) / sq, 0.0)
+    return max((phi - gfq) / sq, 0.0)
 
 
 def bome_step(
@@ -133,9 +141,11 @@ def bome_step(
     q_hat = inner.g_before - inner.g_after
     gq = grad_q_hat(oracle, point.v, point.theta, inner.theta_T)
     gf = oracle.grad_f(point)
-    gq_norm = gq.norm()
+    sq = joint_dot(gq, gq)
+    gfq = joint_dot(gf, gq)
+    gq_norm = math.sqrt(sq)  # gq.norm(), from the sum already formed
     phi = compute_phi(cfg.barrier_kind, cfg.eta, q_hat, gq_norm)
-    lam = compute_lambda(gf, gq, phi)
+    lam = _barrier_multiplier(sq, gfq, phi)
     delta = joint_axpy(gf, lam, gq)
 
     if cfg.momentum_beta > 0.0 and velocity is not None:
@@ -144,8 +154,11 @@ def bome_step(
         velocity = delta
     new_v = point.v - cfg.xi_v * velocity.dv
     new_theta = point.theta - cfg.xi_theta * velocity.dtheta
-    if not (np.isfinite(new_v).all() and np.isfinite(new_theta).all()):
-        raise NumericalError("non-finite iterate after update")
+    # a finite sum of squares means finite entries; the entries are checked
+    # one by one only when it is not (it also overflows for huge finite ones)
+    if not math.isfinite(float(new_v.dot(new_v)) + float(new_theta.dot(new_theta))):
+        if not (np.isfinite(new_v).all() and np.isfinite(new_theta).all()):
+            raise NumericalError("non-finite iterate after update")
     new_point = JointPoint._trusted(new_v, new_theta)
     solution = BarrierSolution(
         lam=lam,
@@ -157,5 +170,7 @@ def bome_step(
         inner_result=inner,
         grad_qhat_norm=gq_norm,
         velocity=velocity,
+        grad_qhat_sq=sq,
+        grad_f_dot_qhat=gfq,
     )
     return new_point, solution

@@ -121,12 +121,9 @@ class ExperimentConfig:
 # Problem registry
 # ---------------------------------------------------------------------------
 
-_CORESET_PRESETS = {
-    "start1": (np.zeros(4), np.array([0.0, 3.0])),
-    "start2": (np.zeros(4), np.array([-3.0, 1.0])),
-    "start3": (np.zeros(4), np.array([3.5, 1.0])),
-}
-_CORESET_PRESETS["default"] = _CORESET_PRESETS["start1"]
+# The named theta starts of the 2-D coreset geometry.
+_CORESET_STARTS = {"start1": (0.0, 3.0), "start2": (-3.0, 1.0), "start3": (3.5, 1.0)}
+_CORESET_STARTS["default"] = _CORESET_STARTS["start1"]
 
 
 def _coreset(params: dict, seed: int):
@@ -137,7 +134,12 @@ def _coreset(params: dict, seed: int):
     if "vertices" in params:
         # one vertex per row in the config, one per column in the problem
         fields["vertices_X"] = np.asarray(params["vertices"], dtype=float).T
-    return coreset_oracle(CoresetProblem(**fields)), _CORESET_PRESETS
+    prob = CoresetProblem(**fields)
+    # v holds one weight per vertex; other than in 2-D, theta starts at 0
+    dim, n_vert = prob.vertices_X.shape
+    starts = _CORESET_STARTS if dim == 2 else {"default": np.zeros(dim)}
+    presets = {name: (np.zeros(n_vert), np.array(theta)) for name, theta in starts.items()}
+    return coreset_oracle(prob), presets
 
 
 def _fixed(make, v0: list, theta0: list):
@@ -166,8 +168,8 @@ def _synthetic(make, oracle, start):
 # name -> (description, builder); a builder takes the problem_params and the
 # solver seed and returns the oracle and its start presets.
 PROBLEMS = {
-    "coreset": ("project a target onto a softmax-weighted convex hull (v in R^4, theta in R^2)",
-                _coreset),
+    "coreset": ("project a target onto a softmax-weighted convex hull (v: one weight per "
+                "vertex)", _coreset),
     "minimax": ("scalar bilinear game min_v max_theta v*theta; optimum at the origin",
                 _fixed(minimax_oracle, [1.0], [1.0])),
     "lls": ("least squares with a line of inner minimizers (degenerate inner problem)",
@@ -379,18 +381,22 @@ def _parse_float(cell: str) -> Optional[float]:
 
 _COLUMN_NAMES = [name for name, _, _ in _TRACE_COLUMNS]
 _row_values = operator.attrgetter(*(attr for _, attr, _ in _TRACE_COLUMNS))
-_FORMATTERS = ["%.17g".__mod__ if is_float else str for _, _, is_float in _TRACE_COLUMNS]
 _PARSERS = [_parse_float if is_float else int for _, _, is_float in _TRACE_COLUMNS]
+# One %-format per row; on an unscored row, %.0s prints its kkt value (None) as nothing.
+_KKT_INDEX = [attr for _, attr, _ in _TRACE_COLUMNS].index("kkt_value")
+_SPECS = ["%.17g" if is_float else "%s" for _, _, is_float in _TRACE_COLUMNS]
+_ROW_SCORED = ",".join(_SPECS) + "\n"
+_ROW_UNSCORED = ",".join(_SPECS[:_KKT_INDEX] + ["%.0s"] + _SPECS[_KKT_INDEX + 1:]) + "\n"
 
 
 def emit_trace_csv(trace: Trace, path) -> None:
-    """Write one row per iteration; a cell is blank where its value is None,
-    as the kkt cell is on rows where stationarity was not evaluated."""
+    """Write one row per iteration; the kkt cell is blank on rows where
+    stationarity was not evaluated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_COLUMN_NAMES) + "\n")
         for rec in trace.records:
-            cells = ["" if x is None else fmt(x) for fmt, x in zip(_FORMATTERS, _row_values(rec))]
-            fh.write(",".join(cells) + "\n")
+            values = _row_values(rec)
+            fh.write((_ROW_UNSCORED if values[_KKT_INDEX] is None else _ROW_SCORED) % values)
 
 
 def read_trace_csv(path) -> list[dict]:

@@ -13,6 +13,7 @@ solver never differentiates anything itself.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -49,9 +50,15 @@ class NotConvergedError(BilevelError):
 _FLOAT = np.dtype(float)
 
 
+def _float_array(x) -> np.ndarray:
+    # x itself when it already is a 1-D float64 array
+    if type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def _as_vector(x, name: str) -> np.ndarray:
-    if not (type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _float_array(x)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"{name} must be a 1-D vector with at least one entry")
     if not np.isfinite(x).all():
@@ -101,27 +108,30 @@ class JointGradient:
     dtheta: np.ndarray
 
     def __post_init__(self):
-        if not (type(self.dv) is np.ndarray and self.dv.dtype == _FLOAT and self.dv.ndim == 1):
-            self.dv = np.atleast_1d(np.asarray(self.dv, dtype=float))
-        if not (
-            type(self.dtheta) is np.ndarray
-            and self.dtheta.dtype == _FLOAT
-            and self.dtheta.ndim == 1
-        ):
-            self.dtheta = np.atleast_1d(np.asarray(self.dtheta, dtype=float))
+        self.dv = _float_array(self.dv)
+        self.dtheta = _float_array(self.dtheta)
+
+    @classmethod
+    def _trusted(cls, dv: np.ndarray, dtheta: np.ndarray) -> "JointGradient":
+        # fast path for hot loops: caller guarantees 1-D float64 arrays
+        obj = object.__new__(cls)
+        obj.dv = dv
+        obj.dtheta = dtheta
+        return obj
 
     def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.dv, self.dv) + np.dot(self.dtheta, self.dtheta)))
+        # math.sqrt is correctly rounded, as np.sqrt is
+        return math.sqrt(joint_dot(self, self))
 
 
 def joint_dot(a: JointGradient, b: JointGradient) -> float:
     """Inner product of two joint gradients."""
-    return float(np.dot(a.dv, b.dv) + np.dot(a.dtheta, b.dtheta))
+    return float(a.dv.dot(b.dv)) + float(a.dtheta.dot(b.dtheta))
 
 
 def joint_axpy(a: JointGradient, scale: float, b: JointGradient) -> JointGradient:
     """Return a + scale * b, blockwise."""
-    return JointGradient(a.dv + scale * b.dv, a.dtheta + scale * b.dtheta)
+    return JointGradient._trusted(a.dv + scale * b.dv, a.dtheta + scale * b.dtheta)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BilevelOracle, JointGradient, JointPoint, MissingOracleCapability
+from .core import BilevelOracle, JointPoint, MissingOracleCapability, joint_axpy
 from .barrier_step import grad_q_hat
 from .inner_loop import inner_descent
 
@@ -136,8 +136,7 @@ def check_plug_in_estimator(
             approx = grad_q_hat(oracle, p.v, p.theta, inner.theta_T)
             theta_star = oracle.exact_inner_opt(p.v)
             exact = grad_q_hat(oracle, p.v, p.theta, theta_star)
-            diff = JointGradient(approx.dv - exact.dv, approx.dtheta - exact.dtheta)
-            total += diff.norm()
+            total += joint_axpy(approx, -1.0, exact).norm()
         errors[int(T)] = total / len(points)
     return errors
 

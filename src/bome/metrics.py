@@ -30,7 +30,9 @@ from .core import (
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import BarrierSolution, compute_lambda, grad_q_hat, q_hat_value
+from .barrier_step import (
+    BarrierSolution, _barrier_multiplier, compute_lambda, grad_q_hat, q_hat_value,
+)
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
     DEFAULT_ATTRACTION_MAX_ITERS,
@@ -57,11 +59,13 @@ class KktReport:
 
 
 def _assemble_report(
-    grad_f: JointGradient, grad_q: JointGradient, q: float, variant: KktVariant
+    grad_f: JointGradient, grad_q: JointGradient, q: float, variant: KktVariant,
+    lam: Optional[float] = None,
 ) -> KktReport:
     # the multiplier minimizing ||grad_f + lambda * grad_q||^2 over lambda >= 0
-    # is the barrier multiplier with phi = 0
-    lam = compute_lambda(grad_f, grad_q, 0.0)
+    # is the barrier multiplier with phi = 0, passed as ``lam`` if known
+    if lam is None:
+        lam = compute_lambda(grad_f, grad_q, 0.0)
     residual = joint_axpy(grad_f, lam, grad_q)
     local = joint_dot(residual, residual)
     return KktReport(
@@ -104,15 +108,16 @@ def kkt_proxy(
     """Stationarity report from the plug-in estimate.
 
     Given ``step``, the :func:`bome_step` taken at ``point`` with ``cfg``,
-    the report is assembled from that step's grad f, grad q_hat and q_hat and
-    makes no oracle call; those are exactly the quantities the standalone path
-    would compute again. Without it, runs its own inner descent with the run's
+    the report is assembled from that step's grad f, grad q_hat, q_hat and
+    reductions and makes no oracle call; those are exactly the quantities the
+    standalone path would compute again. Without it, runs its own inner descent with the run's
     (T, alpha) so the monitored quantity matches what the solver sees at this
     point; q_hat comes from that descent's own g evaluations, as in
     :func:`bome_step`.
     """
     if step is not None:
-        return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, KktVariant.PROXY)
+        lam = _barrier_multiplier(step.grad_qhat_sq, step.grad_f_dot_qhat, 0.0)
+        return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, KktVariant.PROXY, lam)
     inner = inner_descent(
         oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
     )

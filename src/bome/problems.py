@@ -39,7 +39,9 @@ def softmax(v: np.ndarray) -> np.ndarray:
 def softmax_jacobian(sigma: np.ndarray) -> np.ndarray:
     """Jacobian of softmax expressed through its output: diag(s) - s s^T."""
     sigma = np.asarray(sigma, dtype=float)
-    return np.diag(sigma) - np.outer(sigma, sigma)
+    jac = np.eye(sigma.size) * sigma
+    jac -= np.multiply.outer(sigma, sigma)
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +134,7 @@ def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
     def grad_g(p: JointPoint) -> JointGradient:
         d = p.theta - inner(p.v)[1]
         dv = -2.0 * jacobian(p.v) @ (X.T @ d)
-        return JointGradient(dv, 2.0 * d)
+        return JointGradient._trusted(dv, 2.0 * d)
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return 2.0 * (theta - inner(np.asarray(v, dtype=float))[1])
@@ -163,13 +165,13 @@ def minimax_oracle() -> BilevelOracle:
         return float(p.v[0] * p.theta[0])
 
     def grad_f(p: JointPoint) -> JointGradient:
-        return JointGradient(p.theta.copy(), p.v.copy())
+        return JointGradient._trusted(p.theta.copy(), p.v.copy())
 
     def eval_g(p: JointPoint) -> float:
         return -float(p.v[0] * p.theta[0])
 
     def grad_g(p: JointPoint) -> JointGradient:
-        return JointGradient(-p.theta, -p.v)
+        return JointGradient._trusted(-p.theta, -p.v)
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return -v

@@ -125,15 +125,7 @@ def run(
             if method is Method.BOME:
                 new_point, sol = bome_step(oracle, point, cfg, velocity)
                 velocity = sol.velocity
-                diag = StepDiagnostics(
-                    iter_k=k,
-                    f_value=float(oracle.eval_f(point)),
-                    q_hat=sol.q_hat,
-                    lambda_k=sol.lam,
-                    phi_k=sol.phi,
-                    delta_norm=sol.delta.norm(),
-                    grad_qhat_norm=sol.grad_qhat_norm,
-                )
+                step = (sol.q_hat, sol.lam, sol.phi, sol.delta.norm(), sol.grad_qhat_norm)
             else:
                 if method is Method.NAIVE_GDA:
                     new_point = gda_step(oracle, point, cfg.outer_step_xi)
@@ -142,15 +134,9 @@ def run(
                         oracle, point, prev_grads, cfg.outer_step_xi
                     )
                 direction = baseline_direction(point, new_point, cfg.outer_step_xi)
-                diag = StepDiagnostics(
-                    iter_k=k,
-                    f_value=float(oracle.eval_f(point)),
-                    q_hat=0.0,
-                    lambda_k=0.0,
-                    phi_k=0.0,
-                    delta_norm=direction.norm(),
-                    grad_qhat_norm=0.0,
-                )
+                # no constraint: q_hat, lambda, phi and the grad q_hat norm are 0
+                step = (0.0, 0.0, 0.0, direction.norm(), 0.0)
+            diag = StepDiagnostics(k, float(oracle.eval_f(point)), *step)
             if not all(map(math.isfinite, _step_floats(diag))):
                 raise NumericalError("non-finite step quantity")
             if k % cfg.kkt_eval_every == 0 or k == K - 1:
@@ -190,11 +176,8 @@ def run(
     meta = oracle.metadata
     if meta is not None and meta.known_optimum is not None:
         opt = meta.known_optimum
-        gap_v = point.v - opt.v
-        gap_t = point.theta - opt.theta
-        trace.dist_to_known_opt = float(
-            (gap_v @ gap_v + gap_t @ gap_t) ** 0.5
-        )
+        gap_v, gap_t = point.v - opt.v, point.theta - opt.theta
+        trace.dist_to_known_opt = float((gap_v @ gap_v + gap_t @ gap_t) ** 0.5)
     return trace
 
 

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from bome import (
     BarrierKind,
+    BilevelOracle,
     JointGradient,
     JointPoint,
+    NumericalError,
     SolverConfig,
     bome_step,
     compute_lambda,
@@ -19,6 +21,8 @@ from bome import (
     q_hat_value,
     ridge_oracle,
 )
+from bome.cli import PROBLEMS
+from bome.core import joint_dot
 from conftest import (
     QUAD_A,
     assert_barrier_invariants,
@@ -288,3 +292,42 @@ class TestBomeStep:
         np.testing.assert_allclose(state.dtheta, beta * v1[1] + s2.delta.dtheta, rtol=1e-12)
         # and the applied update used the accumulated velocity
         np.testing.assert_allclose(p2.v, p1.v - cfg.outer_step_xi * state.dv, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_iterate_whose_sum_of_squares_overflows_is_kept(self):
+        # zero gradients leave the point where it is; its squared norm
+        # overflows, but every entry is finite, so the step must not fail
+        def zeros(p):
+            return JointGradient(np.zeros(p.v.size), np.zeros(p.theta.size))
+
+        oracle = BilevelOracle(
+            eval_f=lambda p: 0.0, grad_f=zeros, eval_g=lambda p: 0.0, grad_g=zeros,
+            grad_g_theta=lambda v, theta: np.zeros(theta.size),
+        )
+        cfg = SolverConfig(outer_step_xi=0.05)
+        v, theta = np.full(2, 1e200), np.full(3, -1e200)
+        new, _ = bome_step(oracle, JointPoint(v, theta), cfg)
+        np.testing.assert_array_equal(new.v, v)
+        np.testing.assert_array_equal(new.theta, theta)
+        theta[1] = np.inf
+        with pytest.raises(NumericalError, match="non-finite iterate"):
+            bome_step(oracle, JointPoint._trusted(v, theta), cfg)
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_lambda_has_one_formula(self, problem):
+        # the reductions the step carries, and its multiplier, are the ones
+        # joint_dot and compute_lambda give for its gradients, to the bit
+        oracle, presets = PROBLEMS[problem][1]({}, 0)
+        start = JointPoint(*presets["default"])
+        for kind in BarrierKind:
+            for beta in (0.0, 0.9):
+                cfg = SolverConfig(outer_step_xi=0.01, barrier_kind=kind, momentum_beta=beta)
+                point, velocity = start, JointGradient(np.zeros(start.m), np.zeros(start.n))
+                for _ in range(5):
+                    point, sol = bome_step(oracle, point, cfg, velocity)
+                    velocity = sol.velocity
+                    gf, gq = sol.grad_f, sol.grad_qhat
+                    assert sol.grad_qhat_sq == joint_dot(gq, gq)
+                    assert sol.grad_f_dot_qhat == joint_dot(gf, gq)
+                    assert sol.grad_qhat_norm == gq.norm()
+                    assert compute_lambda(gf, gq, sol.phi) == sol.lam

@@ -13,6 +13,7 @@ from bome import (
     ConfigurationError,
     JointPoint,
     SolverConfig,
+    StepDiagnostics,
     hyperclean_oracle,
     make_synthetic_hyperclean,
     minimax_oracle,
@@ -211,6 +212,32 @@ class TestEmitTraceCsv:
                 assert row["kkt"] is None
             else:
                 assert row["kkt"] == rec.kkt_value
+
+    def test_bytes_match_per_cell_spelling(self, tmp_path):
+        # every cell spelled on its own: blank for None, 17 significant digits
+        # for a float, str for an integer
+        fields = (("iter_k", False), ("f_value", True), ("q_hat", True), ("lambda_k", True),
+                  ("phi_k", True), ("delta_norm", True), ("grad_qhat_norm", True),
+                  ("kkt_value", True), ("wall_time_micros", False))
+        trace = small_minimax_trace(K=25, every=10)
+        extremes = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+        walls = (2**31, 2**53 + 1, 10**18, 0)
+        for i, (x, wall) in enumerate(zip(extremes, walls)):
+            for kkt in (x, None):
+                trace.records.append(StepDiagnostics(
+                    iter_k=25 + i, f_value=x, q_hat=-x, lambda_k=x, phi_k=x / 3.0,
+                    delta_norm=abs(x), grad_qhat_norm=x, kkt_value=kkt, wall_time_micros=wall))
+        assert {r.kkt_value is None for r in trace.records} == {True, False}
+        lines = ["k,f,q_hat,lambda,phi,delta_norm,grad_qhat_norm,kkt,wall_us"]
+        for rec in trace.records:
+            cells = []
+            for attr, is_float in fields:
+                x = getattr(rec, attr)
+                cells.append("" if x is None else ("%.17g" % x if is_float else str(x)))
+            lines.append(",".join(cells))
+        path = tmp_path / "t.csv"
+        emit_trace_csv(trace, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_unix_newlines(self, tmp_path):
         trace = small_minimax_trace(K=3)
@@ -525,6 +552,31 @@ class TestCliMain:
         stem = "x" if output_path else "minimax_bome"
         cells = [f"{stem}_{i:03d}.csv" for i in range(2)] if sweep else [f"{stem}.csv"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(cells + [f"{stem}.summary.json"])
+
+    def test_coreset_geometry_sizes_the_start(self, tmp_path, capsys):
+        # three 2-D vertices: v has three weights and the named starts apply
+        out = tmp_path / "tri.csv"
+        doc = {"problem": "coreset", "problem_params": {"vertices": [[1, 0], [0, 1], [-1, 0]]},
+               "solver": {"iters": 20}, "start": "start2", "output_path": str(out)}
+        assert main(["run", str(self.write_config(tmp_path, doc))]) == 0
+        summary = json.loads(out.with_suffix(".summary.json").read_text())[0]
+        assert summary["termination"] == "max_iters" and len(read_trace_csv(out)) == 20
+        # 3-D geometry: the default start is v = 0, theta = 0; the named
+        # 2-D starts are a configuration error
+        out = tmp_path / "cube.csv"
+        doc = {"problem": "coreset",
+               "problem_params": {"x0": [1, 1, 1],
+                                  "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]},
+               "solver": {"iters": 20}, "output_path": str(out)}
+        _, start = build_experiment(parse_config(json.dumps(doc)))
+        np.testing.assert_array_equal(start.v, np.zeros(4))
+        np.testing.assert_array_equal(start.theta, np.zeros(3))
+        assert main(["run", str(self.write_config(tmp_path, doc))]) == 0
+        assert len(read_trace_csv(out)) == 20
+        capsys.readouterr()
+        doc["start"] = "start1"
+        assert main(["run", str(self.write_config(tmp_path, doc, "bad.json"))]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_exit_code_on_config_error(self, tmp_path):
         cfg = self.write_config(tmp_path, {"problem": "nonexistent"})

@@ -66,6 +66,13 @@ class TestSoftmax:
         np.testing.assert_allclose(J.sum(axis=1), np.zeros(4), atol=1e-15)
         np.testing.assert_allclose(J, J.T, atol=0)
 
+    def test_jacobian_bits_match_diag_minus_outer(self, rng):
+        for n in (1, 2, 4, 7):
+            for _ in range(500):
+                s = softmax(3.0 * rng.standard_normal(n))
+                want = np.diag(s) - np.outer(s, s)
+                assert softmax_jacobian(s).tobytes() == want.tobytes()
+
 
 class TestCoreset:
     def test_default_geometry(self):
