@@ -84,7 +84,6 @@ _SOLVER_KEYS = {
     "xi_v": ("xi_v", None),
     "xi_theta": ("xi_theta", None),
 }
-_METHODS = {"bome": Method.BOME, "gda": Method.NAIVE_GDA, "ogd": Method.OPTIMISTIC_GD}
 
 # The trace CSV schema: each column, the StepDiagnostics field it holds, and
 # whether that field is a float (else an integer).
@@ -220,12 +219,6 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
 def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
     _reject_unknown(raw, _SOLVER_KEYS, "solver")
     kwargs = {_SOLVER_KEYS[key][0]: val for key, val in raw.items() if val is not None}
-    if "barrier_kind" in kwargs:
-        barrier = kwargs.pop("barrier_kind")
-        try:
-            kwargs["barrier_kind"] = BarrierKind(barrier)
-        except ValueError:
-            errors.append(f"barrier must be 'gradnorm' or 'value', got {barrier!r}")
     try:
         cfg = SolverConfig(**kwargs)
         validate_config(cfg)
@@ -268,8 +261,9 @@ def parse_config(text: str) -> ExperimentConfig:
             f"problem must be one of {sorted(PROBLEMS)}, got {problem!r}"
         )
     method = raw.get("method", "bome")
-    if method not in _METHODS:
-        errors.append(f"method must be one of {sorted(_METHODS)}, got {method!r}")
+    methods = sorted(m.value for m in Method)
+    if method not in methods:
+        errors.append(f"method must be one of {methods}, got {method!r}")
     elif method != "bome" and problem != "minimax":
         errors.append(f"method {method!r} is only supported on the minimax problem")
 
@@ -493,7 +487,7 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
     # One cell at a time: a cell that raises leaves the earlier CSVs written.
     traces = []
     for sub_cfg in (expand_sweep(cfg) if is_sweep else [cfg]):
-        trace = run(*build_experiment(sub_cfg), sub_cfg.solver, _METHODS[sub_cfg.method])
+        trace = run(*build_experiment(sub_cfg), sub_cfg.solver, Method(sub_cfg.method))
         traces.append(trace)
         csv_path = _resolve_output(_output_name(sub_cfg))
         emit_trace_csv(trace, csv_path)
@@ -515,6 +509,10 @@ def _cmd_gradcheck(args) -> int:
     if name not in PROBLEMS:
         print(f"unknown problem {name!r}", file=sys.stderr)
         return 2
+    if args.points < 1 or args.seed < 0:
+        raise ConfigurationError(
+            f"gradcheck needs --points >= 1 and --seed >= 0, got {args.points} and {args.seed}"
+        )
     oracle, presets = PROBLEMS[name][1]({}, args.seed)
     v0, theta0 = presets["default"]
     rng = np.random.default_rng(args.seed)

@@ -204,6 +204,8 @@ class BarrierKind(enum.Enum):
     VALUE = "value"            # phi = eta * max(q_hat, 0)
 
 
+_BARRIER_NAMES = tuple(kind.value for kind in BarrierKind)
+
 # The steps that, when unset, follow the outer step xi.
 _FOLLOW_XI = ("inner_step_alpha", "xi_v", "xi_theta")
 
@@ -236,7 +238,8 @@ class SolverConfig:
         for name in _FOLLOW_XI:
             if getattr(self, name) is None:
                 setattr(self, name, self.outer_step_xi)
-        if isinstance(self.barrier_kind, str):
+        # a barrier name becomes its kind; validate_config rejects anything else
+        if isinstance(self.barrier_kind, str) and self.barrier_kind in _BARRIER_NAMES:
             self.barrier_kind = BarrierKind(self.barrier_kind)
 
 
@@ -267,10 +270,10 @@ def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -
     """Validate a solver configuration.
 
     Hard violations (a non-numeric or non-positive step size, eta or
-    tolerance, a non-integer or out-of-range iteration count or seed) raise
-    :class:`ConfigurationError` listing every violated constraint. Soft
-    theory violations against declared problem constants are returned as
-    human-readable warnings; the solver still runs with them.
+    tolerance, an unknown barrier, a non-integer or out-of-range iteration
+    count or seed) raise :class:`ConfigurationError` listing every violated
+    constraint. Soft theory violations against declared problem constants are
+    returned as human-readable warnings; the solver still runs with them.
     """
     errors = []
     for name in ("outer_step_xi", *_FOLLOW_XI):
@@ -279,6 +282,9 @@ def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -
             errors.append(f"{name} must be a number > 0, got {step}")
     if not (_is_real(cfg.eta) and cfg.eta > 0):
         errors.append(f"eta must be a number > 0, got {cfg.eta}")
+    if not isinstance(cfg.barrier_kind, BarrierKind):
+        names = " or ".join(map(repr, _BARRIER_NAMES))
+        errors.append(f"barrier must be {names}, got {cfg.barrier_kind!r}")
     if not (_is_int(cfg.inner_iters_T) and cfg.inner_iters_T >= 0):
         errors.append(f"inner_iters_T must be an integer >= 0, got {cfg.inner_iters_T}")
     if not (_is_int(cfg.max_outer_iters_K) and cfg.max_outer_iters_K >= 1):

@@ -31,13 +31,13 @@ from .core import (
     joint_dot,
 )
 from .barrier_step import (
-    BarrierSolution, _barrier_multiplier, compute_lambda, grad_q_hat, q_hat_value,
+    BarrierSolution, _barrier_multiplier, bome_step, grad_q_hat, q_hat_value,
 )
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
     DEFAULT_ATTRACTION_MAX_ITERS,
     attraction_point,
-    inner_descent,
+    inner_descent,  # unused here; perfbench/tracing.py patches bome.metrics.inner_descent
 )
 
 
@@ -59,13 +59,12 @@ class KktReport:
 
 
 def _assemble_report(
-    grad_f: JointGradient, grad_q: JointGradient, q: float, variant: KktVariant,
-    lam: Optional[float] = None,
+    grad_f: JointGradient, grad_q: JointGradient, q: float,
+    grad_q_sq: float, grad_f_dot_q: float, variant: KktVariant,
 ) -> KktReport:
     # the multiplier minimizing ||grad_f + lambda * grad_q||^2 over lambda >= 0
-    # is the barrier multiplier with phi = 0, passed as ``lam`` if known
-    if lam is None:
-        lam = compute_lambda(grad_f, grad_q, 0.0)
+    # is the barrier multiplier with phi = 0, from ||grad_q||^2 and <grad_f, grad_q>
+    lam = _barrier_multiplier(grad_q_sq, grad_f_dot_q, 0.0)
     residual = joint_axpy(grad_f, lam, grad_q)
     local = joint_dot(residual, residual)
     return KktReport(
@@ -82,7 +81,9 @@ def _score_against(
 ) -> KktReport:
     q = q_hat_value(oracle, point.v, point.theta, theta_ref)
     grad_q = grad_q_hat(oracle, point.v, point.theta, theta_ref)
-    return _assemble_report(oracle.grad_f(point), grad_q, q, variant)
+    grad_f = oracle.grad_f(point)
+    return _assemble_report(grad_f, grad_q, q, joint_dot(grad_q, grad_q),
+                            joint_dot(grad_f, grad_q), variant)
 
 
 def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
@@ -107,23 +108,17 @@ def kkt_proxy(
 ) -> KktReport:
     """Stationarity report from the plug-in estimate.
 
-    Given ``step``, the :func:`bome_step` taken at ``point`` with ``cfg``,
-    the report is assembled from that step's grad f, grad q_hat, q_hat and
-    reductions and makes no oracle call; those are exactly the quantities the
-    standalone path would compute again. Without it, runs its own inner descent with the run's
-    (T, alpha) so the monitored quantity matches what the solver sees at this
-    point; q_hat comes from that descent's own g evaluations, as in
-    :func:`bome_step`.
+    The report is assembled from the grad f, grad q_hat, q_hat and reductions
+    of the :func:`bome_step` taken at ``point`` with ``cfg``, so the monitored
+    quantity is what the solver sees there. Given that ``step``, makes no
+    oracle call. Without it, takes the BOME step at ``point``; that step
+    checks its update too, so an update that overflows raises
+    :class:`NumericalError`.
     """
-    if step is not None:
-        lam = _barrier_multiplier(step.grad_qhat_sq, step.grad_f_dot_qhat, 0.0)
-        return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, KktVariant.PROXY, lam)
-    inner = inner_descent(
-        oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
-    )
-    q = inner.g_before - inner.g_after
-    grad_q = grad_q_hat(oracle, point.v, point.theta, inner.theta_T)
-    return _assemble_report(oracle.grad_f(point), grad_q, q, KktVariant.PROXY)
+    if step is None:
+        step = bome_step(oracle, point, cfg)[1]
+    return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, step.grad_qhat_sq,
+                            step.grad_f_dot_qhat, KktVariant.PROXY)
 
 
 def kkt_attraction(

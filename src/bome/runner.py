@@ -176,8 +176,8 @@ def run(
     meta = oracle.metadata
     if meta is not None and meta.known_optimum is not None:
         opt = meta.known_optimum
-        gap_v, gap_t = point.v - opt.v, point.theta - opt.theta
-        trace.dist_to_known_opt = float((gap_v @ gap_v + gap_t @ gap_t) ** 0.5)
+        gap = JointGradient._trusted(point.v - opt.v, point.theta - opt.theta)
+        trace.dist_to_known_opt = gap.norm()
     return trace
 
 

@@ -525,9 +525,13 @@ class TestCliMain:
         ("run", {"problem": "hyperclean", "problem_params": {"p": 0}}),
         ("run", {"problem": "ridge", "problem_params": {"p": 0}}),
         ("run", {"problem": "ridge", "problem_params": {"m_val": 0}}),
+        ("run", {"problem": "minimax", "solver": {"barrier": "bogus"}}),
+        ("run", {"problem": "minimax", "solver": {"barrier": 3}}),
+        ("run", {"problem": "minimax", "method": ["bome"]}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
-            "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0"])
+            "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
+            "barrier-int", "method-list"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -633,6 +637,13 @@ class TestCliMain:
 
     def test_gradcheck_unknown_problem(self):
         assert main(["gradcheck", "nonexistent"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--points", "0"], ["--points", "-2"], ["--seed", "-1"]],
+                             ids=["points-0", "points-negative", "seed-negative"])
+    def test_gradcheck_bad_arguments(self, capsys, flags):
+        assert main(["gradcheck", "coreset", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: gradcheck needs --points >= 1")
 
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0

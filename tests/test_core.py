@@ -9,7 +9,9 @@ from bome import (
     SolverConfig,
     coreset_oracle,
     make_synthetic_ridge,
+    minimax_oracle,
     ridge_oracle,
+    run,
     validate_config,
 )
 from conftest import quadratic_pl_oracle
@@ -91,6 +93,15 @@ class TestValidateConfig:
     def test_momentum_range(self):
         with pytest.raises(ConfigurationError):
             validate_config(SolverConfig(momentum_beta=1.0))
+
+    @pytest.mark.parametrize("barrier", [None, 3, ["gradnorm"]], ids=["None", "int", "list"])
+    def test_unknown_barrier_rejected(self, barrier):
+        # not silently the value barrier: validation, and so run(), refuse it
+        cfg = SolverConfig(barrier_kind=barrier)
+        with pytest.raises(ConfigurationError, match="barrier must be 'gradnorm' or 'value'"):
+            validate_config(cfg)
+        with pytest.raises(ConfigurationError, match="barrier"):
+            run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg)
 
 
 class TestMetadata:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ class TestRun:
         assert trace.final_kkt.total < 1e-3
         assert trace.kkt_variant == "proxy"
         assert trace.dist_to_known_opt < 1e-2
+
+    def test_known_optimum_distance_is_the_joint_norm(self):
+        # math.sqrt of the blockwise sum of squares, as JointGradient.norm; at
+        # this K a numpy ** 0.5 of the same sum is one ulp away
+        cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=452)
+        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg)
+        v, theta = trace.final_point.v[0], trace.final_point.theta[0]
+        assert trace.dist_to_known_opt == math.sqrt(v * v + theta * theta)
 
     def test_coreset_reaches_brute_force_optimum(self):
         oracle = coreset_oracle()
@@ -213,6 +222,28 @@ class TestOracleCalls:
             "grad_g": 2 * (K + 1),
             "grad_g_theta": 10 * (K + 1),
         }
+
+    def test_proxy_scored_gda_run_call_formula(self):
+        # K = 3 GDA steps, each scored: per scored iterate one BOME step's
+        # calls (10 grad_g_theta, 2 eval_g, 2 grad_g, 1 grad_f) plus GDA's own
+        # grad_f and eval_f; the final point adds one score and one eval_f
+        calls = dict.fromkeys(["eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta"], 0)
+
+        def counted(kind, fn):
+            def wrapped(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapped
+
+        oracle = minimax_oracle()
+        oracle = dataclasses.replace(
+            oracle, **{kind: counted(kind, getattr(oracle, kind)) for kind in calls}
+        )
+        cfg = SolverConfig(inner_iters_T=10, max_outer_iters_K=3, kkt_eval_every=1)
+        trace = run(oracle, JointPoint([1.0], [1.0]), cfg, Method.NAIVE_GDA)
+        assert all(r.kkt_value is not None for r in trace.records)
+        assert trace.final_kkt is not None and len(trace.records) == 3
+        assert calls == {"eval_f": 4, "grad_f": 7, "eval_g": 8, "grad_g": 8, "grad_g_theta": 40}
 
 
 def fail_from_call(fn, first_bad_call, fault):
