@@ -21,7 +21,6 @@ from .core import (
     BilevelOracle,
     JointGradient,
     JointPoint,
-    NumericalError,
     SolverConfig,
     joint_axpy,
     joint_dot,
@@ -152,14 +151,9 @@ def bome_step(
         velocity = joint_axpy(delta, cfg.momentum_beta, velocity)
     else:
         velocity = delta
-    new_v = point.v - cfg.xi_v * velocity.dv
-    new_theta = point.theta - cfg.xi_theta * velocity.dtheta
-    # a finite sum of squares means finite entries; the entries are checked
-    # one by one only when it is not (it also overflows for huge finite ones)
-    if not math.isfinite(float(new_v.dot(new_v)) + float(new_theta.dot(new_theta))):
-        if not (np.isfinite(new_v).all() and np.isfinite(new_theta).all()):
-            raise NumericalError("non-finite iterate after update")
-    new_point = JointPoint._trusted(new_v, new_theta)
+    new_point = JointPoint._checked(
+        point.v - cfg.xi_v * velocity.dv, point.theta - cfg.xi_theta * velocity.dtheta
+    )
     solution = BarrierSolution(
         lam=lam,
         phi=phi,

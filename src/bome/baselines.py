@@ -16,7 +16,7 @@ from .core import BilevelOracle, JointGradient, JointPoint
 def gda_step(oracle: BilevelOracle, point: JointPoint, xi: float) -> JointPoint:
     """Simultaneous update v -= xi * df/dv, theta += xi * df/dtheta."""
     g = oracle.grad_f(point)
-    return JointPoint(point.v - xi * g.dv, point.theta + xi * g.dtheta)
+    return JointPoint._checked(point.v - xi * g.dv, point.theta + xi * g.dtheta)
 
 
 def ogd_step(
@@ -38,7 +38,7 @@ def ogd_step(
         prev_grads = g
     new_v = point.v - 2.0 * xi * g.dv + xi * prev_grads.dv
     new_theta = point.theta + 2.0 * xi * g.dtheta - xi * prev_grads.dtheta
-    return JointPoint(new_v, new_theta), g
+    return JointPoint._checked(new_v, new_theta), g
 
 
 def baseline_direction(point: JointPoint, new_point: JointPoint, xi: float) -> JointGradient:

@@ -507,8 +507,7 @@ def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
 def _cmd_gradcheck(args) -> int:
     name = args.problem
     if name not in PROBLEMS:
-        print(f"unknown problem {name!r}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"unknown problem {name!r}")
     if args.points < 1 or args.seed < 0:
         raise ConfigurationError(
             f"gradcheck needs --points >= 1 and --seed >= 0, got {args.points} and {args.seed}"

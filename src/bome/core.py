@@ -88,6 +88,15 @@ class JointPoint:
         obj.theta = theta
         return obj
 
+    @classmethod
+    def _checked(cls, v: np.ndarray, theta: np.ndarray) -> "JointPoint":
+        # a solver's new iterate: a finite sum of squares means finite entries,
+        # which are checked one by one only when it is not (huge ones overflow it)
+        if not math.isfinite(float(v.dot(v)) + float(theta.dot(theta))):
+            if not (np.isfinite(v).all() and np.isfinite(theta).all()):
+                raise NumericalError("non-finite iterate after update")
+        return cls._trusted(v, theta)
+
     @property
     def m(self) -> int:
         return self.v.size

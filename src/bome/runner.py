@@ -5,9 +5,9 @@ and apply the stopping rules.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,13 +26,6 @@ from .core import (
 from .barrier_step import BarrierSolution, bome_step
 from .baselines import baseline_direction, gda_step, ogd_step
 from .metrics import KktReport, kkt_exact, kkt_proxy
-
-
-# The float quantities of a step record, checked finite before it is kept; the
-# stationarity score is checked by _score.
-_step_floats = operator.attrgetter(
-    "f_value", "q_hat", "lambda_k", "phi_k", "delta_norm", "grad_qhat_norm"
-)
 
 
 class Method(enum.Enum):
@@ -136,9 +129,11 @@ def run(
                 direction = baseline_direction(point, new_point, cfg.outer_step_xi)
                 # no constraint: q_hat, lambda, phi and the grad q_hat norm are 0
                 step = (0.0, 0.0, 0.0, direction.norm(), 0.0)
-            diag = StepDiagnostics(k, float(oracle.eval_f(point)), *step)
-            if not all(map(math.isfinite, _step_floats(diag))):
+            # f and the step's quantities are checked finite before they are kept
+            step = (float(oracle.eval_f(point)), *step)
+            if not all(map(math.isfinite, step)):
                 raise NumericalError("non-finite step quantity")
+            diag = StepDiagnostics(k, *step)
             if k % cfg.kkt_eval_every == 0 or k == K - 1:
                 diag.kkt_value = _score(oracle, point, cfg, sol).total
         except NumericalError:
@@ -157,22 +152,22 @@ def run(
             break
         point = new_point
 
-    final_f = float(oracle.eval_f(point))
     trace = Trace(
         records=records,
         config_snapshot=cfg,
         problem_name=oracle.name,
         termination=termination,
         final_point=point,
-        final_f=final_f if math.isfinite(final_f) else None,
         method=method,
         warnings=warnings,
         kkt_variant="exact" if oracle.exact_inner_opt is not None else "proxy",
     )
-    try:
+    # an end-point f or score that raises or is not finite stays None
+    with contextlib.suppress(NumericalError):
+        final_f = float(oracle.eval_f(point))
+        trace.final_f = final_f if math.isfinite(final_f) else None
+    with contextlib.suppress(NumericalError):
         trace.final_kkt = _score(oracle, point, cfg)
-    except NumericalError:
-        trace.final_kkt = None
     meta = oracle.metadata
     if meta is not None and meta.known_optimum is not None:
         opt = meta.known_optimum

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bome import JointGradient, JointPoint, gda_step, minimax_oracle, ogd_step
+from bome import JointGradient, JointPoint, NumericalError, gda_step, minimax_oracle, ogd_step
 
 
 def exact_gda_map(v, th, xi):
@@ -109,3 +109,17 @@ class TestContrast:
             ogd_pt, hist = ogd_step(oracle, ogd_pt, hist, xi=0.05)
         assert np.hypot(gda_pt.v[0], gda_pt.theta[0]) > np.sqrt(2.0)
         assert np.hypot(ogd_pt.v[0], ogd_pt.theta[0]) < 1e-2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("step", [
+    lambda oracle, point, xi: gda_step(oracle, point, xi),
+    lambda oracle, point, xi: ogd_step(oracle, point, None, xi)[0],
+], ids=["gda", "ogd"])
+def test_new_iterate_is_checked_finite(step):
+    # as in bome_step: a huge finite iterate is kept, an overflowed one raises
+    oracle = minimax_oracle()
+    new = step(oracle, JointPoint([1e200], [-1e200]), 1e-300)
+    assert new.v[0] == 1e200 and new.theta[0] == -1e200
+    with pytest.raises(NumericalError, match="non-finite iterate"):
+        step(oracle, JointPoint([1e300], [1e300]), 1e10)

@@ -528,10 +528,26 @@ class TestCliMain:
         ("run", {"problem": "minimax", "solver": {"barrier": "bogus"}}),
         ("run", {"problem": "minimax", "solver": {"barrier": 3}}),
         ("run", {"problem": "minimax", "method": ["bome"]}),
+        ("run", [1, 2]),
+        ("run", {"problem": "minimax", "solver": [1]}),
+        ("run", {"problem": "minimax", "problem_params": [1]}),
+        ("run", {"problem": "minimax", "start": {"v": [1.0], "theta": [1.0], "x": 1}}),
+        ("run", {"problem": "minimax", "start": {"v": [1.0]}}),
+        ("run", {"problem": "minimax", "start": 5}),
+        ("sweep", {"problem": "minimax", "sweep": []}),
+        ("sweep", {"problem": "minimax", "sweep": {}}),
+        ("sweep", {"problem": "minimax", "sweep": {"bogus": [1]}}),
+        ("sweep", {"problem": "minimax", "sweep": {"eta": 0.5}}),
+        ("sweep", {"problem": "minimax", "sweep": {"eta": []}}),
+        ("run", {"problem": "minimax", "solver": {"kkt_every": 0}}),
+        ("run", {"problem": "minimax", "solver": {"stop_kkt_tol": 0}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
             "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
-            "barrier-int", "method-list"])
+            "barrier-int", "method-list", "top-level-list", "solver-list", "params-list",
+            "start-extra-field", "start-v-only", "start-number", "sweep-list", "sweep-empty",
+            "sweep-unknown-key", "sweep-scalar", "sweep-empty-list", "kkt_every-0",
+            "stop_kkt_tol-0"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -586,6 +602,10 @@ class TestCliMain:
         cfg = self.write_config(tmp_path, {"problem": "nonexistent"})
         assert main(["run", str(cfg)]) == 2
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read config")
+
     def test_run_rejects_sweep_config(self, tmp_path):
         cfg = self.write_config(
             tmp_path, {"problem": "minimax", "sweep": {"eta": [0.1, 0.5]}}
@@ -629,14 +649,16 @@ class TestCliMain:
         assert main(["run", str(cfg)]) == 0
         assert (outdir / "rel.csv").exists()
 
-    def test_gradcheck_subcommand(self, capsys):
-        assert main(["gradcheck", "coreset", "--points", "5"]) == 0
+    @pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+    def test_gradcheck_subcommand(self, capsys, problem):
+        assert main(["gradcheck", problem, "--points", "2"]) == 0
         out = capsys.readouterr().out
         assert "gradient check for f" in out
         assert "passed" in out
 
-    def test_gradcheck_unknown_problem(self):
+    def test_gradcheck_unknown_problem(self, capsys):
         assert main(["gradcheck", "nonexistent"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: unknown problem")
 
     @pytest.mark.parametrize("flags", [["--points", "0"], ["--points", "-2"], ["--seed", "-1"]],
                              ids=["points-0", "points-negative", "seed-negative"])

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bome import (
+    JointGradient,
     JointPoint,
     Method,
     NumericalError,
@@ -197,8 +200,8 @@ class TestOracleCalls:
     @pytest.mark.parametrize("K", [1, 40])
     def test_proxy_scored_bome_run_call_formula(self, K):
         # each step runs T inner steps and scores its own iterate from the
-        # step's plug-in quantities; only the final score runs its own inner
-        # descent (minimax never exits inner descent early from (1, 1))
+        # step's plug-in quantities; the final score takes one more BOME step
+        # at the end point (minimax never exits inner descent early from (1, 1))
         calls = dict.fromkeys(["eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta"], 0)
 
         def counted(kind, fn):
@@ -246,9 +249,14 @@ class TestOracleCalls:
         assert calls == {"eval_f": 4, "grad_f": 7, "eval_g": 8, "grad_g": 8, "grad_g_theta": 40}
 
 
+ORACLE_CALLABLES = ("eval_f", "grad_f", "eval_g", "grad_g", "exact_inner_opt", "grad_g_theta")
+RECORD_FLOATS = ("f_value", "q_hat", "lambda_k", "phi_k", "delta_norm", "grad_qhat_norm")
+
+
 def fail_from_call(fn, first_bad_call, fault):
     """Wrap ``fn`` so that its calls from ``first_bad_call`` on raise a
-    NumericalError (``fault="raise"``) or return NaN (``fault="nan"``)."""
+    NumericalError (``fault="raise"``) or return NaN (``fault="nan"``; a
+    gradient comes back with NaN in both blocks)."""
     calls = 0
 
     def wrapped(*args):
@@ -259,6 +267,8 @@ def fail_from_call(fn, first_bad_call, fault):
             return out
         if fault == "raise":
             raise NumericalError("injected failure")
+        if isinstance(out, JointGradient):
+            return JointGradient(np.full_like(out.dv, np.nan), np.full_like(out.dtheta, np.nan))
         return np.full_like(np.asarray(out, dtype=float), np.nan)
 
     return wrapped
@@ -286,9 +296,11 @@ class TestFailuresEndTheRun:
         assert all(np.isfinite(r.kkt_value) for r in scored)
         assert trace.final_kkt is None
 
-    def test_non_finite_f_mid_run(self):
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    def test_non_finite_f_mid_run(self, fault):
+        # f fails at iterate 5; the end-point f fails too and is None
         oracle = coreset_oracle()
-        oracle = dataclasses.replace(oracle, eval_f=fail_from_call(oracle.eval_f, 6, "nan"))
+        oracle = dataclasses.replace(oracle, eval_f=fail_from_call(oracle.eval_f, 6, fault))
         cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=100, kkt_eval_every=10)
         trace = run(oracle, self.START, cfg)
         assert trace.termination is Termination.NUMERICAL_ERROR
@@ -327,8 +339,44 @@ class TestFailuresEndTheRun:
         cfg = SolverConfig(outer_step_xi=0.5, max_outer_iters_K=8000, kkt_eval_every=8000)
         trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, Method.NAIVE_GDA)
         assert trace.termination is Termination.NUMERICAL_ERROR
-        floats = ("f_value", "q_hat", "lambda_k", "phi_k", "delta_norm", "grad_qhat_norm")
-        assert all(np.isfinite(getattr(r, name)) for r in trace.records for name in floats)
+        assert all(np.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    @pytest.mark.parametrize("problem, kind", [
+        *[("coreset", kind) for kind in ORACLE_CALLABLES],
+        *[("minimax", kind) for kind in ORACLE_CALLABLES if kind != "exact_inner_opt"],
+    ])
+    def test_any_oracle_failure_ends_the_run(self, problem, kind, fault):
+        # each oracle callable fails from its sixth call on
+        oracle, start = {
+            "coreset": (coreset_oracle(), self.START),
+            "minimax": (minimax_oracle(), JointPoint([1.0], [1.0])),
+        }[problem]
+        failing = fail_from_call(getattr(oracle, kind), 6, fault)
+        oracle = dataclasses.replace(oracle, **{kind: failing})
+        cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=40, kkt_eval_every=5)
+        trace = run(oracle, start, cfg)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert len(trace.records) < 40
+        assert all(math.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(list(Method)),
+        log_xi=st.floats(-3.0, 300.0),
+        K=st.integers(1, 8),
+    )
+    @example(method=Method.NAIVE_GDA, log_xi=150.0, K=5)
+    @example(method=Method.OPTIMISTIC_GD, log_xi=150.0, K=5)
+    def test_any_step_size_ends_the_run_with_finite_records(self, method, log_xi, K):
+        # at huge steps an iterate or a step quantity overflows; run() still
+        # returns, and what it recorded is finite
+        cfg = SolverConfig(outer_step_xi=10.0 ** log_xi, max_outer_iters_K=K)
+        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, method)
+        assert isinstance(trace.termination, Termination)
+        assert all(math.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
+        assert all(math.isfinite(r.kkt_value) for r in trace.records if r.kkt_value is not None)
 
 
 class TestRunningMinKkt:
