@@ -16,6 +16,7 @@ from .core import (
     ProblemMetadata,
     SolverConfig,
     StepDiagnostics,
+    StepRecords,
     validate_config,
 )
 from .inner_loop import InnerResult, attraction_point, inner_descent
@@ -82,6 +83,7 @@ __all__ = [
     "RidgeRegProblem",
     "SolverConfig",
     "StepDiagnostics",
+    "StepRecords",
     "Termination",
     "Trace",
     "attraction_point",

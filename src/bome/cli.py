@@ -31,7 +31,6 @@ import inspect
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -374,10 +373,10 @@ def _parse_float(cell: str) -> Optional[float]:
 
 
 _COLUMN_NAMES = [name for name, _, _ in _TRACE_COLUMNS]
-_row_values = operator.attrgetter(*(attr for _, attr, _ in _TRACE_COLUMNS))
+_COLUMN_FIELDS = tuple(attr for _, attr, _ in _TRACE_COLUMNS)
 _PARSERS = [_parse_float if is_float else int for _, _, is_float in _TRACE_COLUMNS]
 # One %-format per row; on an unscored row, %.0s prints its kkt value (None) as nothing.
-_KKT_INDEX = [attr for _, attr, _ in _TRACE_COLUMNS].index("kkt_value")
+_KKT_INDEX = _COLUMN_FIELDS.index("kkt_value")
 _SPECS = ["%.17g" if is_float else "%s" for _, _, is_float in _TRACE_COLUMNS]
 _ROW_SCORED = ",".join(_SPECS) + "\n"
 _ROW_UNSCORED = ",".join(_SPECS[:_KKT_INDEX] + ["%.0s"] + _SPECS[_KKT_INDEX + 1:]) + "\n"
@@ -388,8 +387,7 @@ def emit_trace_csv(trace: Trace, path) -> None:
     stationarity was not evaluated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_COLUMN_NAMES) + "\n")
-        for rec in trace.records:
-            values = _row_values(rec)
+        for values in trace.records.rows(_COLUMN_FIELDS):
             fh.write((_ROW_UNSCORED if values[_KKT_INDEX] is None else _ROW_SCORED) % values)
 
 
@@ -429,10 +427,10 @@ def summarize_trace(trace: Trace) -> dict:
         "final_f": trace.final_f,
         "final_kkt": None if trace.final_kkt is None else trace.final_kkt.total,
         "kkt_variant": trace.kkt_variant,
-        "total_wall_us": int(sum(r.wall_time_micros for r in trace.records)),
+        "total_wall_us": sum(trace.records.column("wall_time_micros")),
         "warnings": list(trace.warnings),
     }
-    kkts = [r.kkt_value for r in trace.records if r.kkt_value is not None]
+    kkts = [x for x in trace.records.column("kkt_value") if x is not None]
     if trace.final_kkt is not None:
         kkts.append(trace.final_kkt.total)
     entry["running_min_kkt"] = min(kkts) if kkts else None

@@ -13,9 +13,13 @@ solver never differentiates anything itself.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
-from dataclasses import dataclass
+import struct
+from array import array
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -265,6 +269,81 @@ class StepDiagnostics:
     grad_qhat_norm: float
     kkt_value: Optional[float] = None
     wall_time_micros: int = 0
+
+
+_STEP_FIELDS = tuple(f.name for f in fields(StepDiagnostics))
+_KKT = _STEP_FIELDS.index("kkt_value")
+_UNSCORED = math.nan  # a scored kkt value is finite
+# Each field's column type (int64 or float64), and a step packed field by field
+_TYPECODES = tuple("q" if name in ("iter_k", "wall_time_micros") else "d" for name in _STEP_FIELDS)
+_PACKED_STEP = struct.Struct("=" + "".join(_TYPECODES))
+_PENDING_BYTES = 256 * _PACKED_STEP.size
+
+
+class StepRecords(Sequence):
+    """The steps of one run, kept column by column: an int64 array for
+    ``iter_k`` and ``wall_time_micros`` and a float64 array for every other
+    field of :class:`StepDiagnostics`, 72 bytes a step.
+
+    It reads as a sequence of StepDiagnostics rows. A row is built on each
+    read, so assigning to its fields leaves the records unchanged. An
+    unscored step reads as ``kkt_value=None``.
+    """
+
+    __slots__ = ("_columns", "_pending")
+
+    def __init__(self):
+        self._columns = tuple(map(array, _TYPECODES))
+        # steps packed on append (one conversion call for nine values), moved
+        # into the columns every 256 steps and before any read
+        self._pending = bytearray()
+
+    def append(self, iter_k, f_value, q_hat, lambda_k, phi_k, delta_norm, grad_qhat_norm,
+               kkt_value, wall_time_micros) -> None:
+        """Keep one step; a ``kkt_value`` of None marks it unscored."""
+        self._pending += _PACKED_STEP.pack(
+            iter_k, f_value, q_hat, lambda_k, phi_k, delta_norm, grad_qhat_norm,
+            _UNSCORED if kkt_value is None else kkt_value, wall_time_micros,
+        )
+        if len(self._pending) >= _PENDING_BYTES:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        # one pending step per row of 8-byte words; each column takes its
+        # field's words as they are, so every bit is kept
+        words = np.frombuffer(self._pending, dtype=np.int64).reshape(-1, len(self._columns))
+        for col, field in zip(self._columns, words.T):
+            col.frombytes(field.tobytes())
+        self._pending = bytearray()
+
+    def __len__(self) -> int:
+        return len(self._columns[0]) + len(self._pending) // _PACKED_STEP.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        self._flush()
+        row = StepDiagnostics(*[col[k] for col in self._columns])
+        if row.kkt_value != row.kkt_value:
+            row.kkt_value = None
+        return row
+
+    def __iter__(self) -> Iterator[StepDiagnostics]:
+        return itertools.starmap(StepDiagnostics, self.rows())
+
+    def column(self, name: str) -> Iterator:
+        """The values of one StepDiagnostics field, step by step."""
+        self._flush()
+        if name == "kkt_value":
+            return (None if x != x else x for x in self._columns[_KKT])
+        return iter(self._columns[_STEP_FIELDS.index(name)])
+
+    def rows(self, names: Sequence[str] = _STEP_FIELDS) -> Iterator[tuple]:
+        """The values of the named fields (all, in field order, by default)
+        as one tuple per step."""
+        return zip(*map(self.column, names))
 
 
 def _is_real(x) -> bool:

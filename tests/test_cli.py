@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from bome import (
     ConfigurationError,
     JointPoint,
     SolverConfig,
-    StepDiagnostics,
     hyperclean_oracle,
     make_synthetic_hyperclean,
     minimax_oracle,
@@ -224,9 +224,9 @@ class TestEmitTraceCsv:
         walls = (2**31, 2**53 + 1, 10**18, 0)
         for i, (x, wall) in enumerate(zip(extremes, walls)):
             for kkt in (x, None):
-                trace.records.append(StepDiagnostics(
+                trace.records.append(
                     iter_k=25 + i, f_value=x, q_hat=-x, lambda_k=x, phi_k=x / 3.0,
-                    delta_norm=abs(x), grad_qhat_norm=x, kkt_value=kkt, wall_time_micros=wall))
+                    delta_norm=abs(x), grad_qhat_norm=x, kkt_value=kkt, wall_time_micros=wall)
         assert {r.kkt_value is None for r in trace.records} == {True, False}
         lines = ["k,f,q_hat,lambda,phi,delta_norm,grad_qhat_norm,kkt,wall_us"]
         for rec in trace.records:
@@ -443,7 +443,6 @@ class TestCliMain:
         etas = sorted({entry["config"]["eta"] for entry in payload})
         assert etas == [0.1, 0.5]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_distance_is_written_as_null(self, tmp_path):
         out = tmp_path / "gda.csv"
         cfg = self.write_config(tmp_path, {
@@ -461,7 +460,22 @@ class TestCliMain:
         assert entry["termination"] == "numerical_error"
         assert entry["dist_to_opt"] is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_writes_outputs_without_raw_warnings(self, tmp_path, capsys):
+        out = tmp_path / "gda.csv"
+        cfg = self.write_config(tmp_path, {
+            "problem": "minimax", "method": "gda",
+            "solver": {"xi": 1e150, "iters": 5}, "output_path": str(out),
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg)]) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "hit a numerical error" in err
+        entry = json.loads(out.with_suffix(".summary.json").read_text())[0]
+        assert entry["termination"] == "numerical_error"
+        assert len(read_trace_csv(out)) == entry["iterations"] >= 1
+
     def test_exit_code_on_numerical_blowup(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -473,7 +487,6 @@ class TestCliMain:
         )
         assert main(["run", str(cfg)]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_size_warnings_reach_stderr_and_summary(self, tmp_path, capsys):
         # the default xi = alpha = 0.05 is past ridge's declared 1/L, so the
         # run diverges in its first step; both warnings say why
@@ -490,7 +503,6 @@ class TestCliMain:
         assert len(lines) == 2 and all(line.count(",") == 8 for line in lines)
         assert [row["k"] for row in read_trace_csv(out)] == [0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_warnings_in_grid_order(self, tmp_path, capsys):
         out = tmp_path / "ridge.csv"
         cfg = self.write_config(

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from bome import (
     JointPoint,
     ProblemMetadata,
     SolverConfig,
+    StepDiagnostics,
+    StepRecords,
     coreset_oracle,
     make_synthetic_ridge,
     minimax_oracle,
@@ -37,6 +42,76 @@ class TestJointPoint:
         q = p.copy()
         q.v[0] = 7.0
         assert p.v[0] == 1.0
+
+
+def _bits(row: StepDiagnostics) -> tuple:
+    # floats by their bytes, so -0.0 and 0.0 differ; ints and None as they are
+    return tuple(struct.pack("<d", x) if isinstance(x, float) else (type(x), x)
+                 for x in dataclasses.astuple(row))
+
+
+class TestStepRecords:
+    EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1)
+    WALLS = (2**53 + 1, 10**18, 0, 2**31, 7)
+
+    def rows(self):
+        out = []
+        for i, (x, wall) in enumerate(zip(self.EXTREMES, self.WALLS)):
+            for kkt in (x, None):
+                out.append(StepDiagnostics(
+                    iter_k=2 * i + (kkt is None), f_value=x, q_hat=-x, lambda_k=x,
+                    phi_k=x / 3.0, delta_norm=abs(x), grad_qhat_norm=x, kkt_value=kkt,
+                    wall_time_micros=wall))
+        return out
+
+    def store(self, rows):
+        records = StepRecords()
+        for row in rows:
+            records.append(*dataclasses.astuple(row))
+        return records
+
+    def test_rows_round_trip_bit_for_bit(self):
+        rows = self.rows()
+        records = self.store(rows)
+        assert len(records) == len(rows) == 10
+        want = [_bits(row) for row in rows]
+        assert [_bits(records[k]) for k in range(len(rows))] == want
+        assert [_bits(records[k - len(rows)]) for k in range(len(rows))] == want
+        assert [_bits(row) for row in records] == want
+        assert [_bits(row) for row in records[2:7]] == want[2:7]
+        assert [type(records[k].kkt_value) for k in (0, 1)] == [float, type(None)]
+        with pytest.raises(IndexError):
+            records[len(rows)]
+
+    def test_columns_read_as_rows_do(self):
+        rows = self.rows()
+        records = self.store(rows)
+        names = ("wall_time_micros", "kkt_value", "iter_k")
+        assert list(records.rows(names)) == [tuple(getattr(r, n) for n in names) for r in rows]
+        assert list(records.column("kkt_value")) == [r.kkt_value for r in rows]
+        assert list(StepRecords().rows()) == []
+
+    def test_reads_between_appends_see_every_step(self):
+        # reads before, at and past a block of pending steps, and appends after them
+        records, want = StepRecords(), []
+        for k in range(700):
+            row = (k, k / 7.0, -k, 0.5, 0.25, k * 1e300, 1e-310 * k, None if k % 3 else -k / 3.0,
+                   2**62 + k)
+            records.append(*row)
+            want.append(StepDiagnostics(*row))
+            if k in (0, 254, 255, 256, 300, 699):
+                assert len(records) == k + 1
+                assert records[-1] == want[-1] and records[k // 2] == want[k // 2]
+        assert list(records) == want
+        assert list(records.column("iter_k")) == list(range(700))
+
+    def test_reading_a_row_twice_gives_equal_independent_copies(self):
+        records = self.store(self.rows())
+        first, second = records[3], records[3]
+        assert first == second and first is not second
+        first.f_value = 42.0
+        first.kkt_value = 1.0
+        assert records[3] == second and records[3].kkt_value is None
 
 
 class TestSolverConfigDefaults:

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from bome import (
     Method,
     NumericalError,
     SolverConfig,
+    StepRecords,
     Termination,
     coreset_oracle,
     lls_oracle,
@@ -151,7 +155,6 @@ class TestRun:
         assert trace.records[-1].kkt_value < 1e-6
         assert trace.final_kkt.total < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_keeps_partial_trace(self):
         oracle = quadratic_pl_oracle()
         cfg = SolverConfig(outer_step_xi=1e3, max_outer_iters_K=2000, kkt_eval_every=500)
@@ -332,7 +335,6 @@ class TestFailuresEndTheRun:
         assert all(np.isfinite(r.delta_norm) for r in trace.records)
         assert np.isfinite(trace.final_point.v).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_norm_mid_run(self):
         # GDA's iterate norm grows until the direction norm overflows while f
         # is still finite; sparse scoring leaves no score to fail first
@@ -360,7 +362,6 @@ class TestFailuresEndTheRun:
         assert len(trace.records) < 40
         assert all(math.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         method=st.sampled_from(list(Method)),
@@ -377,6 +378,37 @@ class TestFailuresEndTheRun:
         assert isinstance(trace.termination, Termination)
         assert all(math.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
         assert all(math.isfinite(r.kkt_value) for r in trace.records if r.kkt_value is not None)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_overflow_ends_the_run_under_warnings_as_errors(self, method):
+        # numpy overflows in the step and at the end point; none of its
+        # warnings escape, whatever the warning filter
+        cfg = SolverConfig(outer_step_xi=1e150, max_outer_iters_K=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, method)
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert len(trace.records) >= 1
+        assert all(math.isfinite(getattr(r, name)) for r in trace.records for name in RECORD_FLOATS)
+
+
+class TestTraceMemory:
+    def test_retained_bytes_per_step(self):
+        # the nine numbers of a step take 72 bytes; a row object per step takes ~385
+        oracle, start = minimax_oracle(), JointPoint([1.0], [1.0])
+        cfg = SolverConfig(inner_iters_T=0, max_outer_iters_K=20_000, kkt_eval_every=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run(oracle, start, cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 20_000
+        assert all(kkt is not None for kkt in trace.records.column("kkt_value"))
+        assert retained / len(trace.records) <= 128
 
 
 class TestRunningMinKkt:
@@ -400,7 +432,10 @@ class TestRunningMinKkt:
         oracle = quadratic_pl_oracle()
         cfg = SolverConfig(outer_step_xi=0.02, max_outer_iters_K=3, kkt_eval_every=1)
         trace = run(oracle, JointPoint([1.0, 0.0], [1.0, 1.0]), cfg)
+        unscored = StepRecords()
         for rec in trace.records:
-            rec.kkt_value = None
+            unscored.append(*dataclasses.astuple(dataclasses.replace(rec, kkt_value=None)))
+        trace.records = unscored
+        assert len(trace.records) == 3
         with pytest.raises(ValueError):
             running_min_kkt(trace)
