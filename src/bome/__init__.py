@@ -60,58 +60,3 @@ from .gradcheck import (
 from .runner import Method, Termination, Trace, run, running_min_kkt
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BarrierKind",
-    "BarrierSolution",
-    "BilevelError",
-    "BilevelOracle",
-    "ConfigurationError",
-    "CoresetProblem",
-    "GradCheckReport",
-    "HypercleanProblem",
-    "InnerResult",
-    "JointGradient",
-    "JointPoint",
-    "KktReport",
-    "KktVariant",
-    "Method",
-    "MissingOracleCapability",
-    "NotConvergedError",
-    "NumericalError",
-    "ProblemMetadata",
-    "RidgeRegProblem",
-    "SolverConfig",
-    "StepDiagnostics",
-    "StepRecords",
-    "Termination",
-    "Trace",
-    "attraction_point",
-    "bome_step",
-    "check_gradient",
-    "check_oracle_gradients",
-    "check_plug_in_estimator",
-    "compute_lambda",
-    "compute_phi",
-    "coreset_oracle",
-    "export_dataset_csv",
-    "gda_step",
-    "grad_q_hat",
-    "hyperclean_oracle",
-    "inner_descent",
-    "kkt_attraction",
-    "kkt_exact",
-    "kkt_proxy",
-    "lls_oracle",
-    "make_synthetic_hyperclean",
-    "make_synthetic_ridge",
-    "minimax_oracle",
-    "ogd_step",
-    "q_hat_value",
-    "ridge_oracle",
-    "run",
-    "running_min_kkt",
-    "softmax",
-    "softmax_jacobian",
-    "validate_config",
-]

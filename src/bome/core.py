@@ -17,7 +17,6 @@ import itertools
 import math
 import numbers
 import struct
-from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -272,60 +271,46 @@ class StepDiagnostics:
 
 
 _STEP_FIELDS = tuple(f.name for f in fields(StepDiagnostics))
-_KKT = _STEP_FIELDS.index("kkt_value")
 _UNSCORED = math.nan  # a scored kkt value is finite
-# Each field's column type (int64 or float64), and a step packed field by field
-_TYPECODES = tuple("q" if name in ("iter_k", "wall_time_micros") else "d" for name in _STEP_FIELDS)
-_PACKED_STEP = struct.Struct("=" + "".join(_TYPECODES))
-_PENDING_BYTES = 256 * _PACKED_STEP.size
+# A step packed field by field, one type code each (which column() indexes):
+# int64 iter_k and wall_time_micros, float64 the rest
+_PACKED_STEP = struct.Struct("=qdddddddq")
+# Readers unpack copies of at most this much: unpacking the live buffer would
+# lock it against appends, and copying it whole would double the trace
+_BLOCK_BYTES = 256 * _PACKED_STEP.size
 
 
 class StepRecords(Sequence):
-    """The steps of one run, kept column by column: an int64 array for
-    ``iter_k`` and ``wall_time_micros`` and a float64 array for every other
-    field of :class:`StepDiagnostics`, 72 bytes a step.
+    """The steps of one run, packed one after another in a bytearray: int64
+    ``iter_k`` and ``wall_time_micros`` and float64 for every other field of
+    :class:`StepDiagnostics`, 72 bytes a step.
 
     It reads as a sequence of StepDiagnostics rows. A row is built on each
     read, so assigning to its fields leaves the records unchanged. An
     unscored step reads as ``kkt_value=None``.
     """
 
-    __slots__ = ("_columns", "_pending")
+    __slots__ = ("_buf",)
 
     def __init__(self):
-        self._columns = tuple(map(array, _TYPECODES))
-        # steps packed on append (one conversion call for nine values), moved
-        # into the columns every 256 steps and before any read
-        self._pending = bytearray()
+        self._buf = bytearray()
 
     def append(self, iter_k, f_value, q_hat, lambda_k, phi_k, delta_norm, grad_qhat_norm,
                kkt_value, wall_time_micros) -> None:
         """Keep one step; a ``kkt_value`` of None marks it unscored."""
-        self._pending += _PACKED_STEP.pack(
+        self._buf += _PACKED_STEP.pack(
             iter_k, f_value, q_hat, lambda_k, phi_k, delta_norm, grad_qhat_norm,
             _UNSCORED if kkt_value is None else kkt_value, wall_time_micros,
         )
-        if len(self._pending) >= _PENDING_BYTES:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        # one pending step per row of 8-byte words; each column takes its
-        # field's words as they are, so every bit is kept
-        words = np.frombuffer(self._pending, dtype=np.int64).reshape(-1, len(self._columns))
-        for col, field in zip(self._columns, words.T):
-            col.frombytes(field.tobytes())
-        self._pending = bytearray()
 
     def __len__(self) -> int:
-        return len(self._columns[0]) + len(self._pending) // _PACKED_STEP.size
+        return len(self._buf) // _PACKED_STEP.size
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        self._flush()
-        row = StepDiagnostics(*[col[k] for col in self._columns])
+        at = range(len(self))[k] * _PACKED_STEP.size
+        row = StepDiagnostics(*_PACKED_STEP.unpack_from(self._buf, at))
         if row.kkt_value != row.kkt_value:
             row.kkt_value = None
         return row
@@ -335,10 +320,14 @@ class StepRecords(Sequence):
 
     def column(self, name: str) -> Iterator:
         """The values of one StepDiagnostics field, step by step."""
-        self._flush()
-        if name == "kkt_value":
-            return (None if x != x else x for x in self._columns[_KKT])
-        return iter(self._columns[_STEP_FIELDS.index(name)])
+        i = _STEP_FIELDS.index(name)
+        code, stride = _PACKED_STEP.format[1 + i], len(_STEP_FIELDS)
+        # a block's copy read as 8-byte words of the field's type, step after
+        # step; the field is word i of each step
+        blocks = (memoryview(self._buf[start:start + _BLOCK_BYTES]).cast(code)[i::stride]
+                  for start in range(0, len(self._buf), _BLOCK_BYTES))
+        values = itertools.chain.from_iterable(blocks)
+        return (None if x != x else x for x in values) if name == "kkt_value" else values
 
     def rows(self, names: Sequence[str] = _STEP_FIELDS) -> Iterator[tuple]:
         """The values of the named fields (all, in field order, by default)
@@ -357,19 +346,17 @@ def _is_int(x) -> bool:
 def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -> list[str]:
     """Validate a solver configuration.
 
-    Hard violations (a non-numeric or non-positive step size, eta or
-    tolerance, an unknown barrier, a non-integer or out-of-range iteration
+    Hard violations (a non-numeric, non-positive or infinite step size, eta
+    or tolerance, an unknown barrier, a non-integer or out-of-range iteration
     count or seed) raise :class:`ConfigurationError` listing every violated
     constraint. Soft theory violations against declared problem constants are
     returned as human-readable warnings; the solver still runs with them.
     """
     errors = []
-    for name in ("outer_step_xi", *_FOLLOW_XI):
-        step = getattr(cfg, name)
-        if not (_is_real(step) and step > 0):
-            errors.append(f"{name} must be a number > 0, got {step}")
-    if not (_is_real(cfg.eta) and cfg.eta > 0):
-        errors.append(f"eta must be a number > 0, got {cfg.eta}")
+    for name in ("outer_step_xi", *_FOLLOW_XI, "eta"):
+        value = getattr(cfg, name)
+        if not (_is_real(value) and 0 < value < math.inf):
+            errors.append(f"{name} must be a finite number > 0, got {value}")
     if not isinstance(cfg.barrier_kind, BarrierKind):
         names = " or ".join(map(repr, _BARRIER_NAMES))
         errors.append(f"barrier must be {names}, got {cfg.barrier_kind!r}")
@@ -382,8 +369,8 @@ def validate_config(cfg: SolverConfig, meta: Optional[ProblemMetadata] = None) -
     if not (_is_real(cfg.momentum_beta) and 0.0 <= cfg.momentum_beta < 1.0):
         errors.append(f"momentum_beta must be a number in [0, 1), got {cfg.momentum_beta}")
     tol = cfg.stop_kkt_tol
-    if tol is not None and not (_is_real(tol) and tol > 0):
-        errors.append(f"stop_kkt_tol must be a number > 0 when set, got {tol}")
+    if tol is not None and not (_is_real(tol) and 0 < tol < math.inf):
+        errors.append(f"stop_kkt_tol must be a finite number > 0 when set, got {tol}")
     if not (_is_int(cfg.rng_seed) and cfg.rng_seed >= 0):
         errors.append(f"rng_seed must be an integer >= 0, got {cfg.rng_seed}")
     if errors:

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -194,6 +196,21 @@ class TestEmitTraceCsv:
         rows = read_trace_csv(path)
         populated = [r["k"] for r in rows if r["kkt"] is not None]
         assert populated == [0, 10, 20, 24]
+
+    def test_reading_the_trace_copies_no_more_than_a_block(self, tmp_path):
+        # the steps take 72 bytes each; a copy of them whole would show here
+        cfg = SolverConfig(inner_iters_T=0, max_outer_iters_K=20_000, kkt_eval_every=1)
+        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit_trace_csv(trace, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(read_trace_csv(tmp_path / "t.csv")) == len(trace.records) == 20_000
+        assert peak / len(trace.records) <= 24
 
     def test_floats_roundtrip_bit_exact(self, tmp_path):
         trace = small_minimax_trace(K=40, every=7)
@@ -584,6 +601,23 @@ class TestCliMain:
         stem = "x" if output_path else "minimax_bome"
         cells = [f"{stem}_{i:03d}.csv" for i in range(2)] if sweep else [f"{stem}.csv"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(cells + [f"{stem}.summary.json"])
+
+    @pytest.mark.parametrize("problem, key, field", [
+        ("minimax", "xi", "outer_step_xi"), ("minimax", "alpha", "inner_step_alpha"),
+        ("minimax", "xi_v", "xi_v"), ("minimax", "xi_theta", "xi_theta"),
+        ("minimax", "eta", "eta"), ("coreset", "stop_kkt_tol", "stop_kkt_tol"),
+    ])
+    def test_infinite_value_is_configuration_error(self, tmp_path, capsys, problem, key, field):
+        # JSON reads 1e999 as infinity, which a summary could only write as
+        # the non-standard Infinity
+        out = tmp_path / "inf.csv"
+        doc = {"problem": problem, "solver": {key: "INF", "iters": 3}, "output_path": str(out)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"{field} must be a finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_coreset_geometry_sizes_the_start(self, tmp_path, capsys):
         # three 2-D vertices: v has three weights and the named starts apply

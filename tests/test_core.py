@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import struct
 
 import numpy as np
@@ -105,6 +107,18 @@ class TestStepRecords:
         assert list(records) == want
         assert list(records.column("iter_k")) == list(range(700))
 
+    def test_live_readers_do_not_block_an_append(self):
+        # readers partly consumed, still referenced, across more than one block
+        rows = self.rows() * 300
+        records = self.store(rows)
+        reader, kkts = records.rows(), records.column("kkt_value")
+        assert list(itertools.islice(reader, 1000)) == [dataclasses.astuple(r) for r in rows[:1000]]
+        assert list(itertools.islice(kkts, 3)) == [r.kkt_value for r in rows[:3]]
+        records.append(*dataclasses.astuple(rows[5]))
+        assert len(records) == len(rows) + 1
+        assert [_bits(row) for row in records] == [_bits(row) for row in rows + rows[5:6]]
+        assert next(reader) == dataclasses.astuple(rows[1000]) and next(kkts) == rows[3].kkt_value
+
     def test_reading_a_row_twice_gives_equal_independent_copies(self):
         records = self.store(self.rows())
         first, second = records[3], records[3]
@@ -164,6 +178,12 @@ class TestValidateConfig:
             validate_config(cfg)
         msg = str(exc.value)
         assert "outer_step_xi" in msg and "eta" in msg and "inner_iters_T" in msg
+
+    @pytest.mark.parametrize("name", [
+        "outer_step_xi", "inner_step_alpha", "xi_v", "xi_theta", "eta", "stop_kkt_tol"])
+    def test_infinite_value_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be a finite number > 0"):
+            validate_config(SolverConfig(**{name: math.inf}))
 
     def test_momentum_range(self):
         with pytest.raises(ConfigurationError):
