@@ -19,8 +19,9 @@ Config document shape::
 
 An unset (or null) alpha, xi_v or xi_theta follows xi, also in a sweep over
 xi; a summary's ``config`` lists the resolved values. Unknown fields anywhere
-are rejected. All file output is UTF-8 with Unix newlines; floats are printed
-with 17 significant digits so they round-trip bit-exactly.
+are rejected, and so is a top-level field of the wrong JSON type. All file
+output is UTF-8 with Unix newlines; floats are printed with 17 significant
+digits so they round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -63,9 +64,19 @@ from .runner import Method, Termination, Trace, run
 OUTPUT_DIR_ENV = "BOME_OUTPUT_DIR"
 MAX_SWEEP_SIZE = 10_000
 
-_TOP_LEVEL_KEYS = {
-    "problem", "problem_params", "method", "solver", "start", "output_path", "sweep",
+# The config document: each top-level field, the JSON types it may hold and
+# its value when absent. A field of another type is rejected before any check
+# of its value; a missing problem is left to the check of the problem name.
+_TOP_LEVEL = {
+    "problem": ((str,), None),
+    "problem_params": ((dict,), {}),
+    "method": ((str,), "bome"),
+    "solver": ((dict,), {}),
+    "start": ((str, dict), "default"),
+    "output_path": ((str, type(None)), None),
+    "sweep": ((dict, type(None)), None),
 }
+_JSON_TYPES = {str: "a string", dict: "an object", type(None): "null"}
 # The solver schema: each JSON key, the SolverConfig field it sets, and the
 # argparse options of its run/sweep override flag (None: no flag). Unset keys
 # are left to SolverConfig, whose unset alpha, xi_v and xi_theta follow xi.
@@ -106,13 +117,17 @@ class ExperimentConfig:
     problem: str
     problem_params: dict = field(default_factory=dict)
     method: str = "bome"
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    # the solver object as written; sweep cells and flag overrides edit it and
-    # parse it again, so unset keys keep following the keys they default to
+    # the solver object as written; sweep cells and flag overrides edit it, so
+    # unset keys keep following the keys they default to
     solver_spec: dict = field(default_factory=dict)
     start: Union[str, dict] = "default"
     output_path: Optional[str] = None
     sweep: Optional[dict] = None
+
+    @property
+    def solver(self) -> SolverConfig:
+        """The validated solver settings that ``solver_spec`` writes."""
+        return _parse_solver(self.solver_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -215,33 +230,26 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _solver_from_dict(raw: dict, errors: list) -> SolverConfig:
-    _reject_unknown(raw, _SOLVER_KEYS, "solver")
-    kwargs = {_SOLVER_KEYS[key][0]: val for key, val in raw.items() if val is not None}
-    try:
-        cfg = SolverConfig(**kwargs)
-        validate_config(cfg)
-        return cfg
-    except ConfigurationError as exc:
-        errors.append(str(exc))
-        return SolverConfig()
+def _parse_solver(spec: dict) -> SolverConfig:
+    _reject_unknown(spec, _SOLVER_KEYS, "solver")
+    cfg = SolverConfig(**{_SOLVER_KEYS[key][0]: val for key, val in spec.items()
+                          if val is not None})
+    validate_config(cfg)
+    return cfg
 
 
 def _edit_solver(cfg: ExperimentConfig, edits: dict) -> None:
-    """Apply ``edits`` to the solver object as written and parse it again."""
-    spec = {**cfg.solver_spec, **edits}
-    errors: list[str] = []
-    cfg.solver = _solver_from_dict(spec, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    cfg.solver_spec = spec
+    """Apply ``edits`` to the solver object as written; the result must parse."""
+    cfg.solver_spec = {**cfg.solver_spec, **edits}
+    _parse_solver(cfg.solver_spec)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document.
 
     Raises :class:`ConfigurationError` carrying parse context for malformed
-    JSON, or the full list of violated constraints for invalid content.
+    JSON, every field of the wrong type if there is one, or else the full list
+    of violated constraints.
     """
     try:
         raw = json.loads(text)
@@ -251,79 +259,52 @@ def parse_config(text: str) -> ExperimentConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "config")
+    _reject_unknown(raw, _TOP_LEVEL, "config")
+    errors = [f"{key} must be {' or '.join(_JSON_TYPES[t] for t in types)}, got {raw[key]!r}"
+              for key, (types, _) in _TOP_LEVEL.items()
+              if key in raw and not isinstance(raw[key], types)]
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    doc = {key: raw.get(key, copy.copy(default)) for key, (_, default) in _TOP_LEVEL.items()}
 
-    errors: list[str] = []
-    problem = raw.get("problem")
+    problem, method = doc["problem"], doc["method"]
     if problem not in PROBLEMS:
-        errors.append(
-            f"problem must be one of {sorted(PROBLEMS)}, got {problem!r}"
-        )
-    method = raw.get("method", "bome")
+        errors.append(f"problem must be one of {sorted(PROBLEMS)}, got {problem!r}")
     methods = sorted(m.value for m in Method)
     if method not in methods:
         errors.append(f"method must be one of {methods}, got {method!r}")
     elif method != "bome" and problem != "minimax":
         errors.append(f"method {method!r} is only supported on the minimax problem")
+    try:
+        _parse_solver(doc["solver"])
+    except ConfigurationError as exc:
+        errors.append(str(exc))
 
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        errors.append("solver must be an object")
-        solver_raw = {}
-    solver = _solver_from_dict(solver_raw, errors)
-
-    start = raw.get("start", "default")
+    start = doc["start"]
     if isinstance(start, dict):
-        unknown = sorted(set(start) - {"v", "theta"})
+        unknown = sorted(start.keys() - {"v", "theta"})
         if unknown:
             errors.append(f"unknown start field(s): {', '.join(unknown)}")
         if "v" not in start or "theta" not in start:
             errors.append("explicit start must provide both 'v' and 'theta'")
-    elif not isinstance(start, str):
-        errors.append("start must be a preset name or an object with 'v' and 'theta'")
 
-    sweep = raw.get("sweep")
+    sweep = doc["sweep"]
     if sweep is not None:
-        if not isinstance(sweep, dict) or not sweep:
+        unknown = sorted(sweep.keys() - _SOLVER_KEYS)
+        # 0 when an entry is not a non-empty list
+        size = math.prod(len(vals) if isinstance(vals, list) else 0 for vals in sweep.values())
+        if not sweep:
             errors.append("sweep must be a non-empty object mapping solver fields to lists")
-            sweep = None
-        else:
-            bad = sorted(sweep.keys() - _SOLVER_KEYS)
-            if bad:
-                errors.append(f"sweep keys must be solver fields, got: {', '.join(bad)}")
-            elif any(not isinstance(vals, list) or not vals for vals in sweep.values()):
-                errors.append("every sweep entry must be a non-empty list of values")
-            else:
-                size = 1
-                for vals in sweep.values():
-                    size *= len(vals)
-                if size > MAX_SWEEP_SIZE:
-                    errors.append(
-                        f"sweep cross-product size {size} exceeds {MAX_SWEEP_SIZE}"
-                    )
-
-    problem_params = raw.get("problem_params", {})
-    if not isinstance(problem_params, dict):
-        errors.append("problem_params must be an object")
-        problem_params = {}
-
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        errors.append(f"output_path must be a string, got {output_path!r}")
-
+        elif unknown:
+            errors.append(f"sweep keys must be solver fields, got: {', '.join(unknown)}")
+        elif size == 0:
+            errors.append("every sweep entry must be a non-empty list of values")
+        elif size > MAX_SWEEP_SIZE:
+            errors.append(f"sweep cross-product size {size} exceeds {MAX_SWEEP_SIZE}")
     if errors:
         raise ConfigurationError("; ".join(errors))
 
-    cfg = ExperimentConfig(
-        problem=problem,
-        problem_params=problem_params,
-        method=method,
-        solver=solver,
-        solver_spec=solver_raw,
-        start=start,
-        output_path=output_path,
-        sweep=sweep,
-    )
+    cfg = ExperimentConfig(solver_spec=doc.pop("solver"), **doc)
     # Problem params and start are validated by actually building; the
     # builders and JointPoint reject malformed values with these errors.
     try:
@@ -344,14 +325,11 @@ def expand_sweep(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     if not cfg.sweep:
         return [cfg]
     keys = sorted(cfg.sweep)
-    combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
     stem, ext = os.path.splitext(_output_name(cfg))
     out = []
-    for idx, combo in enumerate(combos):
-        child = copy.deepcopy(cfg)
-        child.sweep = None
+    for idx, combo in enumerate(itertools.product(*(cfg.sweep[k] for k in keys))):
+        child = replace(cfg, sweep=None, output_path=f"{stem}_{idx:03d}{ext or '.csv'}")
         _edit_solver(child, dict(zip(keys, combo)))
-        child.output_path = f"{stem}_{idx:03d}{ext or '.csv'}"
         out.append(child)
     return out
 
@@ -465,19 +443,15 @@ def _resolve_output(name: str) -> Path:
     return out
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _cmd_run_or_sweep(args) -> int:
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     flags = {key: getattr(args, key) for key, (_, flag) in _SOLVER_KEYS.items()
              if flag is not None and getattr(args, key) is not None}
     if flags:
         _edit_solver(cfg, flags)
-    if getattr(args, "out", None):
+    if args.out:
         cfg.output_path = args.out
-    return cfg
-
-
-def _cmd_run_or_sweep(args, is_sweep: bool) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = _apply_overrides(parse_config(text), args)
+    is_sweep = args.command == "sweep"
     if not is_sweep and cfg.sweep:
         raise ConfigurationError(
             "config contains a sweep; use the 'sweep' subcommand to run it"
@@ -538,18 +512,10 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_list_problems() -> int:
+def _cmd_list_problems(args) -> int:
     for name, (description, _) in sorted(PROBLEMS.items()):
         print(f"{name:<12} {description}")
     return 0
-
-
-def _add_override_flags(p: argparse.ArgumentParser):
-    for key, (_, flag) in _SOLVER_KEYS.items():
-        if flag is not None:
-            p.add_argument(f"--{key}", default=None, **flag)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="ignored: cells run one at a time")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -557,32 +523,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="bome", description="first-order bilevel optimization harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a single experiment from a JSON config")
-    p_run.add_argument("config")
-    _add_override_flags(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the sweep cross-product of a config")
-    p_sweep.add_argument("config")
-    _add_override_flags(p_sweep)
+    for name, text in (("run", "run a single experiment from a JSON config"),
+                       ("sweep", "run the sweep cross-product of a config")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        for key, (_, flag) in _SOLVER_KEYS.items():
+            if flag is not None:
+                p.add_argument(f"--{key}", default=None, **flag)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--jobs", type=int, default=1, help="ignored: cells run one at a time")
+        p.set_defaults(handler=_cmd_run_or_sweep)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check a problem's gradients")
     p_gc.add_argument("problem")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--points", type=int, default=20)
-
-    sub.add_parser("list-problems", help="list built-in problems")
+    p_gc.set_defaults(handler=_cmd_gradcheck)
+    sub.add_parser("list-problems", help="list built-in problems").set_defaults(
+        handler=_cmd_list_problems)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run_or_sweep(args, is_sweep=False)
-        if args.command == "sweep":
-            return _cmd_run_or_sweep(args, is_sweep=True)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "list-problems":
-            return _cmd_list_problems()
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -592,7 +554,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

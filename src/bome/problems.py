@@ -13,7 +13,6 @@ exposed so exact stationarity reports are available.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .core import (
     JointPoint,
     NumericalError,
     ProblemMetadata,
+    _is_int,
 )
 
 
@@ -65,6 +65,8 @@ class CoresetProblem:
     def __post_init__(self):
         self.target_x0 = np.asarray(self.target_x0, dtype=float)
         self.vertices_X = np.asarray(self.vertices_X, dtype=float)
+        if self.target_x0.ndim != 1:
+            raise ValueError(f"x0 must be a vector, got shape {self.target_x0.shape}")
         if self.vertices_X.ndim != 2 or self.vertices_X.shape[0] != self.target_x0.size:
             raise ValueError("vertices_X must be (dim, n_vertices) with dim matching x0")
 
@@ -237,6 +239,13 @@ def lls_oracle() -> BilevelOracle:
 # ---------------------------------------------------------------------------
 
 
+def _require_int(**sizes) -> None:
+    """Raise ValueError naming the first size that is not an integer."""
+    for name, size in sizes.items():
+        if not _is_int(size):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
+
+
 def _split_rows(features, split: str) -> np.ndarray:
     """One split's features (or design) as a finite float (m, p) array with
     m >= 1; raises ValueError otherwise."""
@@ -341,6 +350,7 @@ def make_synthetic_hyperclean(
     """
     if not 0.0 <= corrupt_frac < 1.0:
         raise ValueError(f"corrupt_frac must lie in [0, 1), got {corrupt_frac}")
+    _require_int(m_tr=m_tr, m_val=m_val, p=p)
     if m_tr < 2 or m_val < 2:
         raise ValueError("need at least two samples per split")
     if p < 1:
@@ -564,6 +574,7 @@ def make_synthetic_ridge(
     seed: int, m_tr: int = 50, m_val: int = 30, p: int = 5, noise: float = 0.1
 ) -> RidgeRegProblem:
     """Random Gaussian design with linear-model targets plus noise."""
+    _require_int(m_tr=m_tr, m_val=m_val, p=p)
     if m_tr < 1 or m_val < 1:
         raise ValueError(f"need at least one sample per split, got m_tr={m_tr}, m_val={m_val}")
     if p < 1:
@@ -652,11 +663,6 @@ def export_dataset_csv(prob: HypercleanProblem, path, split: str = "train") -> N
     else:
         raise ValueError(f"split must be 'train' or 'val', got {split!r}")
     header = [f"feature_{j}" for j in range(feats.shape[1])] + ["label", "is_corrupted"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(labels.size):
-            row = [format(x, ".17g") for x in feats[i]]
-            row.append(str(int(labels[i])))
-            row.append(str(int(mask[i])))
-            writer.writerow(row)
+    np.savetxt(path, np.column_stack([feats, labels, mask]), delimiter=",",
+               fmt=["%.17g"] * feats.shape[1] + ["%d", "%d"], header=",".join(header),
+               comments="")

@@ -1,15 +1,20 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bome import (
     BarrierKind,
@@ -570,13 +575,16 @@ class TestCliMain:
         ("sweep", {"problem": "minimax", "sweep": {"eta": []}}),
         ("run", {"problem": "minimax", "solver": {"kkt_every": 0}}),
         ("run", {"problem": "minimax", "solver": {"stop_kkt_tol": 0}}),
+        ("run", {"problem": ["minimax"]}),
+        ("run", {"problem": {"name": "minimax"}}),
+        ("run", {"problem": "coreset", "problem_params": {"x0": [[1, 2]]}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
             "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
             "barrier-int", "method-list", "top-level-list", "solver-list", "params-list",
             "start-extra-field", "start-v-only", "start-number", "sweep-list", "sweep-empty",
             "sweep-unknown-key", "sweep-scalar", "sweep-empty-list", "kkt_every-0",
-            "stop_kkt_tol-0"])
+            "stop_kkt_tol-0", "problem-list", "problem-object", "x0-2d"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -728,3 +736,61 @@ class TestCliMain:
         )
         assert proc.returncode == 0, proc.stderr
         assert "list-problems" in proc.stdout
+
+
+# Small JSON values of every kind: no size among them is above 50.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 50),
+    st.sampled_from([-1.0, 0.0, 0.5, 30.0, 1e300, math.inf, math.nan]),
+    st.sampled_from(["", "x", "minimax", "gradnorm", "start2"]),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.lists(st.lists(st.integers(-2, 3), min_size=1, max_size=2), min_size=1, max_size=2),
+    st.fixed_dictionaries({"v": st.lists(st.integers(-2, 3), max_size=3),
+                           "theta": st.lists(st.integers(-2, 3), max_size=3)}),
+)
+_SOLVER = sorted(set(cli._SOLVER_KEYS) - {"iters"})
+_PARAMS = {"coreset": ["x0", "vertices"], "lls": [], "minimax": [],
+           "hyperclean": ["m_tr", "m_val", "p", "corrupt_frac", "ridge_c", "seed"],
+           "ridge": ["m_tr", "m_val", "p", "noise", "seed"]}
+
+
+@st.composite
+def _documents(draw):
+    """A three-step config on small data, with at most two fields (top-level or
+    in its solver, problem_params or sweep) set to any small value."""
+    problem = draw(st.sampled_from(sorted(_PARAMS)))
+    params = {"m_tr": 8, "m_val": 6, "p": 2} if problem in ("hyperclean", "ridge") else {}
+    doc = {"problem": problem, "problem_params": params, "solver": {"iters": 3}}
+    # places to edit, in groups drawn with equal weight: top-level, solver,
+    # problem_params and sweep fields
+    groups = [[(doc, key, _JSON_VALUES) for key in ("problem", "problem_params", "method",
+                                                    "solver", "start", "output_path", "sweep",
+                                                    "bogus")],
+              [(doc["solver"], key, _JSON_VALUES) for key in _SOLVER],
+              [(params, key, _JSON_VALUES) for key in _PARAMS[problem]]]
+    if draw(st.booleans()):
+        doc["sweep"] = {"eta": [0.1, 0.5]}
+        groups.append([(doc["sweep"], key, st.lists(_JSON_VALUES, max_size=3))
+                       for key in _SOLVER + ["bogus"]])
+    places = st.one_of([st.sampled_from(group) for group in groups if group])
+    for where, key, values in draw(st.lists(places, max_size=2)):
+        where[key] = draw(values)
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(command=st.sampled_from(["run", "sweep"]), doc=_documents())
+    # configs that once escaped as TypeError: from the problem-name check, and
+    # from the first step on a 2-D coreset x0
+    @example(command="run", doc={"problem": {"name": "minimax"}})
+    @example(command="sweep", doc={"problem": "coreset", "problem_params": {"x0": [[1, 2]]},
+                                   "solver": {"iters": 3}})
+    def test_main_returns_an_exit_code(self, command, doc):
+        # a config ends as a run (0), a numerical error (1) or a configuration
+        # error (2); nothing escapes main
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: tmp}):
+            path = Path(tmp, "cfg.json")
+            path.write_text(json.dumps(doc))
+            assert main([command, str(path)]) in (0, 1, 2)

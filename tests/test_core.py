@@ -94,7 +94,7 @@ class TestStepRecords:
         assert list(StepRecords().rows()) == []
 
     def test_reads_between_appends_see_every_step(self):
-        # reads before, at and past a block of pending steps, and appends after them
+        # reads on both sides of the 256-step read block, and appends after them
         records, want = StepRecords(), []
         for k in range(700):
             row = (k, k / 7.0, -k, 0.5, 0.25, k * 1e300, 1e-310 * k, None if k % 3 else -k / 3.0,

@@ -618,6 +618,14 @@ class TestRidge:
         assert np.array_equal(a.train_A, b.train_A) and np.array_equal(a.val_y, b.val_y)
 
 
+@pytest.mark.parametrize("make", [make_synthetic_hyperclean, make_synthetic_ridge])
+@pytest.mark.parametrize("name", ["m_tr", "m_val", "p"])
+def test_generator_rejects_a_non_integer_size(make, name):
+    # a float size would reach numpy, which allocates np.arange(1e9) before failing
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 30.0"):
+        make(seed=0, **{name: 30.0})
+
+
 class TestDatasetExport:
     def test_schema_and_roundtrip(self, tmp_path):
         prob = make_synthetic_hyperclean(seed=6, m_tr=12, m_val=8, p=3, corrupt_frac=0.25)
