@@ -312,12 +312,12 @@ class HypercleanProblem:
         self.corruption_mask = np.asarray(self.corruption_mask, dtype=bool)
         if self.corruption_mask.shape != self.train_labels.shape:
             raise ValueError("corruption_mask must hold one flag per training label")
-        classes = np.unique(np.concatenate([self.train_labels, self.val_labels]))
-        for cls in classes:
-            if cls not in self.train_labels or cls not in self.val_labels:
-                raise ValueError(
-                    f"degenerate split: class {cls} missing from train or val"
-                )
+        # A set check: np.unique would import numpy.ma (over 1 MB resident).
+        missing = set(self.train_labels.tolist()) ^ set(self.val_labels.tolist())
+        if missing:
+            raise ValueError(
+                f"degenerate split: class {min(missing)} missing from train or val"
+            )
 
     @property
     def n_features(self) -> int:

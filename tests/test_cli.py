@@ -737,6 +737,31 @@ class TestCliMain:
         assert proc.returncode == 0, proc.stderr
         assert "list-problems" in proc.stdout
 
+    def test_hyperclean_run_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma costs over 1 MB of resident memory, and pytest or hypothesis
+        # may have loaded it here already, so the run gets a fresh interpreter
+        cfg = self.write_config(tmp_path, {
+            "problem": "hyperclean", "problem_params": {"m_tr": 40, "m_val": 20, "p": 3},
+            "solver": {"iters": 3, "kkt_every": 1},
+            "output_path": str(tmp_path / "out.csv"),
+        })
+        script = (
+            "import sys\n"
+            "from bome import make_synthetic_hyperclean\n"
+            "from bome.cli import main\n"
+            "make_synthetic_hyperclean(0, m_tr=40, m_val=20)\n"
+            f"assert main(['run', {str(cfg)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 # Small JSON values of every kind: no size among them is above 50.
 _JSON_VALUES = st.one_of(

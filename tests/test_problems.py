@@ -243,6 +243,18 @@ class TestHyperclean:
         with pytest.raises(ValueError, match="degenerate"):
             make_synthetic_hyperclean(seed=0, m_tr=2, m_val=2, p=2, corrupt_frac=0.5)
 
+    @pytest.mark.parametrize("y_tr, y_val, cls", [
+        ([0, 1, 2, 1], [1, 0, 0], 2),
+        ([1, 0, 1], [0, 4, 1, 0], 4),
+        ([0, 5, 1, 0], [3, 1, 0], 3),
+    ], ids=["train-only", "val-only", "two-classes-names-smaller"])
+    def test_degenerate_split_names_the_class(self, y_tr, y_val, cls):
+        x_tr, x_val = np.zeros((len(y_tr), 2)), np.zeros((len(y_val), 2))
+        msg = f"degenerate split: class {cls} missing from train or val"
+        with pytest.raises(ValueError) as err:
+            HypercleanProblem(x_tr, np.array(y_tr), x_val, np.array(y_val))
+        assert str(err.value) == msg
+
     @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 11])
     def test_oracle_matches_row_reduction_formula_bit_for_bit(self, rng, n_classes):
         # the oracle reduces the class axis column by column; the reference is
