@@ -35,13 +35,15 @@ def inner_descent(
     theta0: np.ndarray,
     T: int,
     alpha: float,
+    tol: float = STATIONARY_GRAD_TOL,
 ) -> InnerResult:
     """Run T plain gradient-descent steps on g(v, .) starting from theta0.
 
     The recursion is theta^(t+1) = theta^(t) - alpha * grad_theta g(v, theta^(t))
-    with v held fixed. Exits early once the gradient norm falls below
-    ``STATIONARY_GRAD_TOL``; the number of steps actually applied is reported
-    in ``steps_taken``.
+    with v held fixed. Exits early once the gradient norm falls below ``tol``;
+    ``steps_taken`` counts the steps applied. A gradient raises
+    :class:`NumericalError` only when an entry is not finite: finite entries
+    beyond ~1e154 overflow its sum of squares and are stepped on.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -50,16 +52,17 @@ def inner_descent(
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta0, dtype=float).copy()
     g_before = float(oracle.eval_g(JointPoint._trusted(v, theta)))
-    sq_tol = STATIONARY_GRAD_TOL * STATIONARY_GRAD_TOL
+    sq_tol = tol * tol
     inner_grad = oracle.grad_g_theta or oracle.inner_grad
     steps = 0
     for _ in range(T):
         grad = inner_grad(v, theta)
-        sq = float(grad.dot(grad))
-        if not math.isfinite(sq):
-            raise NumericalError("non-finite inner gradient during inner descent")
-        if sq < sq_tol:
-            break
+        sq = grad.dot(grad)
+        if not sq_tol <= sq < math.inf:
+            if sq < sq_tol:
+                break
+            if not np.isfinite(grad).all():
+                raise NumericalError("non-finite inner gradient during inner descent")
         theta = theta - alpha * grad
         steps += 1
     g_after = float(oracle.eval_g(JointPoint._trusted(v, theta))) if steps > 0 else g_before
@@ -74,27 +77,18 @@ def attraction_point(
     grad_tol: float = DEFAULT_ATTRACTION_GRAD_TOL,
     max_iters: int = DEFAULT_ATTRACTION_MAX_ITERS,
 ) -> np.ndarray:
-    """Iterate the inner recursion until the gradient (nearly) vanishes.
-
-    Returns the final iterate. Raises :class:`NotConvergedError`, carrying
-    the last iterate, its gradient norm and ``max_iters``, if the budget is
-    exhausted first.
+    """Run :func:`inner_descent` until the gradient norm falls below
+    ``grad_tol`` and return the final iterate. Raises
+    :class:`NotConvergedError`, carrying the last iterate, its gradient norm
+    and ``max_iters``, if the budget is exhausted first.
     """
     if not grad_tol > 0:
         raise ValueError(f"grad_tol must be > 0, got {grad_tol}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta0, dtype=float).copy()
-    grad = oracle.inner_grad(v, theta)
-    for _ in range(max_iters):
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError("non-finite inner gradient while seeking attraction point")
-        if float(np.linalg.norm(grad)) < grad_tol:
-            return theta
-        theta = theta - alpha * grad
-        grad = oracle.inner_grad(v, theta)
-    grad_norm = float(np.linalg.norm(grad))
+    inner = inner_descent(oracle, v, theta0, max_iters, alpha, tol=grad_tol)
+    theta = inner.theta_T
+    if inner.steps_taken < max_iters:
+        return theta
+    grad_norm = float(np.linalg.norm(oracle.inner_grad(np.asarray(v, dtype=float), theta)))
     if grad_norm < grad_tol:
         return theta
     raise NotConvergedError(

@@ -111,13 +111,13 @@ def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
 
     def solve(v: np.ndarray) -> tuple:
         sigma = softmax(v)
-        return sigma, X @ sigma
+        return X @ sigma, softmax_jacobian(sigma)
 
     # one entry per v: the inner loop evaluates many thetas at a fixed v, so
-    # softmax(v), the inner optimum X softmax(v) and the softmax Jacobian are
-    # computed once per v (the Jacobian only when a v-gradient asks for it)
+    # the inner optimum X softmax(v) and the softmax Jacobian are computed once
+    # per v (every step and exact score takes grad_g at its v, so the Jacobian
+    # is built eagerly)
     inner = _keyed_memo(solve)
-    jacobian = _keyed_memo(lambda v: softmax_jacobian(inner(v)[0]))
 
     def eval_f(p: JointPoint) -> float:
         d = p.theta - x0
@@ -127,19 +127,19 @@ def coreset_oracle(prob: Optional[CoresetProblem] = None) -> BilevelOracle:
         return JointGradient(np.zeros(n_vert), 2.0 * (p.theta - x0))
 
     def inner_target(v: np.ndarray) -> np.ndarray:
-        return inner(np.asarray(v, dtype=float))[1].copy()
+        return inner(np.asarray(v, dtype=float))[0].copy()
 
     def eval_g(p: JointPoint) -> float:
-        d = p.theta - inner(p.v)[1]
+        d = p.theta - inner(p.v)[0]
         return float(d @ d)
 
     def grad_g(p: JointPoint) -> JointGradient:
-        d = p.theta - inner(p.v)[1]
-        dv = -2.0 * jacobian(p.v) @ (X.T @ d)
-        return JointGradient._trusted(dv, 2.0 * d)
+        target, jac = inner(p.v)
+        d = p.theta - target
+        return JointGradient._trusted(-2.0 * jac @ (X.T @ d), 2.0 * d)
 
     def grad_g_theta(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (theta - inner(np.asarray(v, dtype=float))[1])
+        return 2.0 * (theta - inner(np.asarray(v, dtype=float))[0])
 
     return BilevelOracle(
         eval_f=eval_f,

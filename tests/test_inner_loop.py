@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from bome import JointPoint, NotConvergedError, attraction_point, inner_descent
+from bome import (
+    JointPoint,
+    NotConvergedError,
+    NumericalError,
+    attraction_point,
+    inner_descent,
+    minimax_oracle,
+)
 from conftest import (
+    ANISO_SCALES,
     QUAD_A,
     anisotropic_quadratic_oracle,
     double_well_oracle,
@@ -77,6 +85,19 @@ class TestInnerDescent:
         assert np.array_equal(a.theta_T, b.theta_T)
         assert a.g_after == b.g_after
 
+    def test_overflowing_gradient_is_stepped_on(self):
+        # the gradient -v is finite, but its sum of squares overflows
+        oracle = minimax_oracle()
+        v, theta0, alpha = np.array([1e200]), np.array([1.0]), 1e-200
+        with np.errstate(over="ignore"):
+            res = inner_descent(oracle, v, theta0, T=1, alpha=alpha)
+        assert res.steps_taken == 1
+        np.testing.assert_array_equal(res.theta_T, theta0 - alpha * (-v))
+
+    def test_non_finite_gradient_raises(self):
+        with pytest.raises(NumericalError):
+            inner_descent(minimax_oracle(), np.array([np.nan]), np.array([1.0]), T=1, alpha=0.1)
+
     def test_invalid_arguments(self):
         oracle = quadratic_pl_oracle()
         with pytest.raises(ValueError):
@@ -125,7 +146,29 @@ class TestAttractionPoint:
         err = info.value
         assert err.iters == 5
         assert err.grad_norm > 0.0
-        assert np.all(np.isfinite(err.last_theta))
+        theta = np.array([10.0, 10.0])
+        for _ in range(5):
+            theta = theta - 1e-6 * oracle.inner_grad(np.zeros(2), theta)
+        np.testing.assert_array_equal(err.last_theta, theta)
+
+    def test_matches_plain_recursion(self, rng):
+        # an independent theta <- theta - alpha * grad g loop, stopped at the
+        # first gradient whose norm is below the tolerance
+        oracle = anisotropic_quadratic_oracle()
+        v = rng.standard_normal(2)
+        theta0 = rng.standard_normal(2) * 3.0
+        theta = theta0.copy()
+        for _ in range(10_000):
+            grad = 2.0 * ANISO_SCALES * (theta - QUAD_A @ v)
+            if np.linalg.norm(grad) < 1e-9:
+                break
+            theta = theta - 0.1 * grad
+        out = attraction_point(oracle, v, theta0, alpha=0.1, grad_tol=1e-9)
+        np.testing.assert_array_equal(out, theta)
+
+    def test_negative_budget_raises(self):
+        with pytest.raises(ValueError):
+            attraction_point(quadratic_pl_oracle(), np.zeros(2), np.ones(2), 0.1, max_iters=-1)
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
