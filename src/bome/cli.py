@@ -34,18 +34,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (
-    BarrierKind,
+    _BARRIER_NAMES,
     BilevelOracle,
     ConfigurationError,
     JointPoint,
     SolverConfig,
+    StepDiagnostics,
     validate_config,
 )
 from .gradcheck import check_oracle_gradients, check_plug_in_estimator, plug_in_table_text
@@ -85,7 +86,7 @@ _SOLVER_KEYS = {
     "alpha": ("inner_step_alpha", {"type": float}),
     "T": ("inner_iters_T", {"type": int}),
     "eta": ("eta", {"type": float}),
-    "barrier": ("barrier_kind", {"choices": [kind.value for kind in BarrierKind]}),
+    "barrier": ("barrier_kind", {"choices": _BARRIER_NAMES}),
     "iters": ("max_outer_iters_K", {"type": int}),
     "momentum": ("momentum_beta", None),
     "kkt_every": ("kkt_eval_every", None),
@@ -94,21 +95,6 @@ _SOLVER_KEYS = {
     "xi_v": ("xi_v", None),
     "xi_theta": ("xi_theta", None),
 }
-
-# The trace CSV schema: each column, the StepDiagnostics field it holds, and
-# whether that field is a float (else an integer).
-_TRACE_COLUMNS = (
-    ("k", "iter_k", False),
-    ("f", "f_value", True),
-    ("q_hat", "q_hat", True),
-    ("lambda", "lambda_k", True),
-    ("phi", "phi_k", True),
-    ("delta_norm", "delta_norm", True),
-    ("grad_qhat_norm", "grad_qhat_norm", True),
-    ("kkt", "kkt_value", True),
-    ("wall_us", "wall_time_micros", False),
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -350,12 +336,15 @@ def _parse_float(cell: str) -> Optional[float]:
     return None if cell == "" else float(cell)
 
 
-_COLUMN_NAMES = [name for name, _, _ in _TRACE_COLUMNS]
-_COLUMN_FIELDS = tuple(attr for _, attr, _ in _TRACE_COLUMNS)
-_PARSERS = [_parse_float if is_float else int for _, _, is_float in _TRACE_COLUMNS]
-# One %-format per row; on an unscored row, %.0s prints its kkt value (None) as nothing.
-_KKT_INDEX = _COLUMN_FIELDS.index("kkt_value")
-_SPECS = ["%.17g" if is_float else "%s" for _, _, is_float in _TRACE_COLUMNS]
+# The trace CSV: one column per StepDiagnostics field, in field order, named in
+# its metadata. An int field prints as an integer and every other as a float.
+_COLUMNS = fields(StepDiagnostics)
+_COLUMN_NAMES = [f.metadata["column"] for f in _COLUMNS]
+_PARSERS = [int if f.type == "int" else _parse_float for f in _COLUMNS]
+# One %-format per row. The field that defaults to None is the kkt value, and
+# on an unscored row %.0s prints its None as nothing.
+_KKT_INDEX = next(i for i, f in enumerate(_COLUMNS) if f.default is None)
+_SPECS = ["%s" if f.type == "int" else "%.17g" for f in _COLUMNS]
 _ROW_SCORED = ",".join(_SPECS) + "\n"
 _ROW_UNSCORED = ",".join(_SPECS[:_KKT_INDEX] + ["%.0s"] + _SPECS[_KKT_INDEX + 1:]) + "\n"
 
@@ -365,7 +354,7 @@ def emit_trace_csv(trace: Trace, path) -> None:
     stationarity was not evaluated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_COLUMN_NAMES) + "\n")
-        for values in trace.records.rows(_COLUMN_FIELDS):
+        for values in trace.records.rows():
             fh.write((_ROW_UNSCORED if values[_KKT_INDEX] is None else _ROW_SCORED) % values)
 
 

@@ -18,7 +18,7 @@ import math
 import numbers
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -257,33 +257,37 @@ class SolverConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Per-iteration record: the quantities of the step taken at iterate k."""
+    """Per-iteration record: the quantities of the step taken at iterate k.
 
-    iter_k: int
-    f_value: float
-    q_hat: float
-    lambda_k: float
-    phi_k: float
-    delta_norm: float
-    grad_qhat_norm: float
-    kkt_value: Optional[float] = None
-    wall_time_micros: int = 0
+    This is the one table of the step record. Its fields, in order, are the
+    columns of the trace CSV, each named in its metadata, and the 8-byte words
+    of a packed step: int64 for an ``int`` field, float64 for every other.
+    """
+
+    iter_k: int = field(metadata={"column": "k"})
+    f_value: float = field(metadata={"column": "f"})
+    q_hat: float = field(metadata={"column": "q_hat"})
+    lambda_k: float = field(metadata={"column": "lambda"})
+    phi_k: float = field(metadata={"column": "phi"})
+    delta_norm: float = field(metadata={"column": "delta_norm"})
+    grad_qhat_norm: float = field(metadata={"column": "grad_qhat_norm"})
+    kkt_value: Optional[float] = field(default=None, metadata={"column": "kkt"})
+    wall_time_micros: int = field(default=0, metadata={"column": "wall_us"})
 
 
 _STEP_FIELDS = tuple(f.name for f in fields(StepDiagnostics))
+# one struct type code per field (annotations are strings here)
+_STEP_CODES = "".join("q" if f.type == "int" else "d" for f in fields(StepDiagnostics))
 _UNSCORED = math.nan  # a scored kkt value is finite
-# A step packed field by field, one type code each (which column() indexes):
-# int64 iter_k and wall_time_micros, float64 the rest
-_PACKED_STEP = struct.Struct("=qdddddddq")
+_PACKED_STEP = struct.Struct("=" + _STEP_CODES)
 # Readers unpack copies of at most this much: unpacking the live buffer would
 # lock it against appends, and copying it whole would double the trace
 _BLOCK_BYTES = 256 * _PACKED_STEP.size
 
 
 class StepRecords(Sequence):
-    """The steps of one run, packed one after another in a bytearray: int64
-    ``iter_k`` and ``wall_time_micros`` and float64 for every other field of
-    :class:`StepDiagnostics`, 72 bytes a step.
+    """The steps of one run, packed one after another in a bytearray, one
+    8-byte word per field of :class:`StepDiagnostics`: 72 bytes a step.
 
     It reads as a sequence of StepDiagnostics rows. A row is built on each
     read, so assigning to its fields leaves the records unchanged. An
@@ -321,7 +325,7 @@ class StepRecords(Sequence):
     def column(self, name: str) -> Iterator:
         """The values of one StepDiagnostics field, step by step."""
         i = _STEP_FIELDS.index(name)
-        code, stride = _PACKED_STEP.format[1 + i], len(_STEP_FIELDS)
+        code, stride = _STEP_CODES[i], len(_STEP_FIELDS)
         # a block's copy read as 8-byte words of the field's type, step after
         # step; the field is word i of each step
         blocks = (memoryview(self._buf[start:start + _BLOCK_BYTES]).cast(code)[i::stride]

@@ -69,6 +69,8 @@ class CoresetProblem:
             raise ValueError(f"x0 must be a vector, got shape {self.target_x0.shape}")
         if self.vertices_X.ndim != 2 or self.vertices_X.shape[0] != self.target_x0.size:
             raise ValueError("vertices_X must be (dim, n_vertices) with dim matching x0")
+        if not (np.isfinite(self.target_x0).all() and np.isfinite(self.vertices_X).all()):
+            raise ValueError("x0 and vertices_X must hold only finite values")
 
 
 def _keyed_memo(fill, size: int = 1):
@@ -305,8 +307,8 @@ class HypercleanProblem:
                 f"train and val features must share the feature count, got "
                 f"{self.train_features.shape[1]} and {self.val_features.shape[1]}"
             )
-        if not self.ridge_c >= 0:  # also rejects NaN
-            raise ValueError(f"ridge_c must be >= 0, got {self.ridge_c}")
+        if not 0 <= self.ridge_c < np.inf:  # also rejects NaN
+            raise ValueError(f"ridge_c must be a finite number >= 0, got {self.ridge_c}")
         if self.corruption_mask is None:
             self.corruption_mask = np.zeros(self.train_labels.size, dtype=bool)
         self.corruption_mask = np.asarray(self.corruption_mask, dtype=bool)

@@ -45,8 +45,8 @@ class Trace:
     """Everything one run produced.
 
     ``records[k]`` holds the quantities of the step taken at iterate k (the
-    stationarity column is scored at that same iterate), read from a column
-    store as a :class:`StepDiagnostics` copy. ``final_kkt`` scores
+    stationarity column is scored at that same iterate), unpacked from one
+    packed buffer as a :class:`StepDiagnostics` copy. ``final_kkt`` scores
     the point the run ended at, which for a completed run is one step past
     the last record. ``warnings`` are the step-size warnings
     :func:`validate_config` gave for the config against the problem's declared

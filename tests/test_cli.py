@@ -578,13 +578,18 @@ class TestCliMain:
         ("run", {"problem": ["minimax"]}),
         ("run", {"problem": {"name": "minimax"}}),
         ("run", {"problem": "coreset", "problem_params": {"x0": [[1, 2]]}}),
+        ("run", {"problem": "coreset", "problem_params": {"x0": [float("inf"), 0]}}),
+        ("run", {"problem": "coreset",
+                 "problem_params": {"vertices": [[1, 0], [0, 1], [float("inf"), 0]]}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": float("inf")}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
             "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
             "barrier-int", "method-list", "top-level-list", "solver-list", "params-list",
             "start-extra-field", "start-v-only", "start-number", "sweep-list", "sweep-empty",
             "sweep-unknown-key", "sweep-scalar", "sweep-empty-list", "kkt_every-0",
-            "stop_kkt_tol-0", "problem-list", "problem-object", "x0-2d"])
+            "stop_kkt_tol-0", "problem-list", "problem-object", "x0-2d", "x0-inf",
+            "vertices-inf", "ridge_c-inf"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -737,21 +742,29 @@ class TestCliMain:
         assert proc.returncode == 0, proc.stderr
         assert "list-problems" in proc.stdout
 
-    def test_hyperclean_run_does_not_import_numpy_ma(self, tmp_path):
-        # numpy.ma costs over 1 MB of resident memory, and pytest or hypothesis
-        # may have loaded it here already, so the run gets a fresh interpreter
-        cfg = self.write_config(tmp_path, {
-            "problem": "hyperclean", "problem_params": {"m_tr": 40, "m_val": 20, "p": 3},
-            "solver": {"iters": 3, "kkt_every": 1},
-            "output_path": str(tmp_path / "out.csv"),
-        })
+    @pytest.mark.parametrize("command, doc, prelude, unused", [
+        ("run", {"problem": "hyperclean", "problem_params": {"m_tr": 40, "m_val": 20, "p": 3},
+                 "solver": {"iters": 3, "kkt_every": 1}},
+         "from bome import make_synthetic_hyperclean\n"
+         "make_synthetic_hyperclean(0, m_tr=40, m_val=20)\n", ["numpy.ma"]),
+        ("run", {"problem": "minimax", "solver": {"iters": 3, "kkt_every": 1}}, "",
+         ["numpy.random", "numpy.ma"]),
+        ("sweep", {"problem": "coreset", "solver": {"iters": 3}, "sweep": {"eta": [0.5, 0.9]}},
+         "", ["numpy.random", "numpy.ma"]),
+    ], ids=["hyperclean-run", "minimax-run", "coreset-sweep"])
+    def test_run_does_not_import_unused_numpy_modules(self, tmp_path, command, doc, prelude,
+                                                      unused):
+        # numpy.ma costs over 1 MB of resident memory and numpy.random about
+        # 6 MB, and pytest or hypothesis may have loaded them here already, so
+        # the run gets a fresh interpreter. Only the hyper-cleaning generator
+        # draws from numpy.random.
+        cfg = self.write_config(tmp_path, {**doc, "output_path": str(tmp_path / "out.csv")})
         script = (
             "import sys\n"
-            "from bome import make_synthetic_hyperclean\n"
+            f"{prelude}"
             "from bome.cli import main\n"
-            "make_synthetic_hyperclean(0, m_tr=40, m_val=20)\n"
-            f"assert main(['run', {str(cfg)!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
+            f"assert main([{command!r}, {str(cfg)!r}]) == 0\n"
+            f"print([name for name in {unused!r} if name in sys.modules])\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
@@ -760,7 +773,7 @@ class TestCliMain:
             capture_output=True, text=True, timeout=60, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # Small JSON values of every kind: no size among them is above 50.

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import struct
@@ -84,6 +85,11 @@ class TestStepRecords:
         assert [type(records[k].kkt_value) for k in (0, 1)] == [float, type(None)]
         with pytest.raises(IndexError):
             records[len(rows)]
+
+    def test_append_takes_the_fields_in_order(self):
+        # append spells the fields out, as it runs once a step
+        params = list(inspect.signature(StepRecords.append).parameters)
+        assert params == ["self"] + [f.name for f in dataclasses.fields(StepDiagnostics)]
 
     def test_columns_read_as_rows_do(self):
         rows = self.rows()
