@@ -90,14 +90,17 @@ def compute_phi(kind: BarrierKind, eta: float, q_hat: float, grad_qhat_norm: flo
     """Dynamic barrier value for the current step.
 
     GRAD_NORM_SQ gives eta * ||grad q_hat||^2 (the default); VALUE gives
-    eta * max(q_hat, 0). The clamp only protects against round-off: with a
-    monotone inner loop q_hat is analytically nonnegative.
+    eta * max(q_hat, 0); any other kind, a barrier name included, is a
+    ValueError. The clamp only protects against round-off: with a monotone
+    inner loop q_hat is analytically nonnegative.
     """
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if kind == BarrierKind.GRAD_NORM_SQ:
         return eta * grad_qhat_norm * grad_qhat_norm
-    return eta * max(q_hat, 0.0)
+    if kind == BarrierKind.VALUE:
+        return eta * max(q_hat, 0.0)
+    raise ValueError(f"unknown barrier kind {kind!r}")
 
 
 def compute_lambda(grad_f: JointGradient, grad_qhat: JointGradient, phi: float) -> float:

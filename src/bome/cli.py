@@ -27,7 +27,6 @@ digits so they round-trip bit-exactly.
 from __future__ import annotations
 
 import argparse
-import copy
 import inspect
 import itertools
 import json
@@ -65,18 +64,7 @@ from .runner import Method, Termination, Trace, run
 OUTPUT_DIR_ENV = "BOME_OUTPUT_DIR"
 MAX_SWEEP_SIZE = 10_000
 
-# The config document: each top-level field, the JSON types it may hold and
-# its value when absent. A field of another type is rejected before any check
-# of its value; a missing problem is left to the check of the problem name.
-_TOP_LEVEL = {
-    "problem": ((str,), None),
-    "problem_params": ((dict,), {}),
-    "method": ((str,), "bome"),
-    "solver": ((dict,), {}),
-    "start": ((str, dict), "default"),
-    "output_path": ((str, type(None)), None),
-    "sweep": ((dict, type(None)), None),
-}
+# how a type error names each JSON type
 _JSON_TYPES = {str: "a string", dict: "an object", type(None): "null"}
 # The solver schema: each JSON key, the SolverConfig field it sets, and the
 # argparse options of its run/sweep override flag (None: no flag). Unset keys
@@ -98,22 +86,32 @@ _SOLVER_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment description."""
+    """A fully validated experiment description, and the table of the config
+    document's top level: each field is one key (``solver_spec`` is written
+    ``solver``), its metadata lists the JSON types the key may hold, and its
+    default is the key's value when absent. A key of another type is rejected
+    before any check of its value; a missing problem is left to the check of
+    the problem name."""
 
-    problem: str
-    problem_params: dict = field(default_factory=dict)
-    method: str = "bome"
+    problem: Optional[str] = field(default=None, metadata={"types": (str,)})
+    problem_params: dict = field(default_factory=dict, metadata={"types": (dict,)})
+    method: str = field(default="bome", metadata={"types": (str,)})
     # the solver object as written; sweep cells and flag overrides edit it, so
     # unset keys keep following the keys they default to
-    solver_spec: dict = field(default_factory=dict)
-    start: Union[str, dict] = "default"
-    output_path: Optional[str] = None
-    sweep: Optional[dict] = None
+    solver_spec: dict = field(default_factory=dict,
+                              metadata={"types": (dict,), "key": "solver"})
+    start: Union[str, dict] = field(default="default", metadata={"types": (str, dict)})
+    output_path: Optional[str] = field(default=None, metadata={"types": (str, type(None))})
+    sweep: Optional[dict] = field(default=None, metadata={"types": (dict, type(None))})
 
     @property
     def solver(self) -> SolverConfig:
         """The validated solver settings that ``solver_spec`` writes."""
         return _parse_solver(self.solver_spec)
+
+
+# the config document's top-level keys, each to its field of ExperimentConfig
+_DOCUMENT_KEYS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +188,30 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
 
 
 def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
-    """Instantiate the oracle and the resolved start point for a config."""
-    oracle, presets = PROBLEMS[cfg.problem][1](cfg.problem_params, cfg.solver.rng_seed)
-    if isinstance(cfg.start, str):
-        if cfg.start not in presets:
-            raise ConfigurationError(
-                f"unknown start preset {cfg.start!r} for problem {cfg.problem!r}; "
-                f"available: {', '.join(sorted(presets))}"
-            )
-        v0, theta0 = presets[cfg.start]
-    else:
-        v0 = np.asarray(cfg.start["v"], dtype=float)
-        theta0 = np.asarray(cfg.start["theta"], dtype=float)
-        ref_v, ref_theta = presets["default"]
-        if v0.shape != ref_v.shape or theta0.shape != ref_theta.shape:
-            raise ConfigurationError(
-                f"start dimensions {v0.shape}/{theta0.shape} do not match "
-                f"problem {cfg.problem!r} (expects {ref_v.shape}/{ref_theta.shape})"
-            )
-    return oracle, JointPoint(v0, theta0)
+    """Instantiate the oracle and the resolved start point for a config. The
+    builders and JointPoint reject malformed values with TypeError or
+    ValueError, which raise as a :class:`ConfigurationError`."""
+    try:
+        oracle, presets = PROBLEMS[cfg.problem][1](cfg.problem_params, cfg.solver.rng_seed)
+        if isinstance(cfg.start, str):
+            if cfg.start not in presets:
+                raise ConfigurationError(
+                    f"unknown start preset {cfg.start!r} for problem {cfg.problem!r}; "
+                    f"available: {', '.join(sorted(presets))}"
+                )
+            v0, theta0 = presets[cfg.start]
+        else:
+            v0 = np.asarray(cfg.start["v"], dtype=float)
+            theta0 = np.asarray(cfg.start["theta"], dtype=float)
+            ref_v, ref_theta = presets["default"]
+            if v0.shape != ref_v.shape or theta0.shape != ref_theta.shape:
+                raise ConfigurationError(
+                    f"start dimensions {v0.shape}/{theta0.shape} do not match "
+                    f"problem {cfg.problem!r} (expects {ref_v.shape}/{ref_theta.shape})"
+                )
+        return oracle, JointPoint(v0, theta0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"cannot build {cfg.problem!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +248,35 @@ def parse_config(text: str) -> ExperimentConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_LEVEL, "config")
-    errors = [f"{key} must be {' or '.join(_JSON_TYPES[t] for t in types)}, got {raw[key]!r}"
-              for key, (types, _) in _TOP_LEVEL.items()
-              if key in raw and not isinstance(raw[key], types)]
+    _reject_unknown(raw, _DOCUMENT_KEYS, "config")
+    errors = [f"{key} must be {' or '.join(map(_JSON_TYPES.get, f.metadata['types']))}, "
+              f"got {raw[key]!r}" for key, f in _DOCUMENT_KEYS.items()
+              if key in raw and not isinstance(raw[key], f.metadata["types"])]
     if errors:
         raise ConfigurationError("; ".join(errors))
-    doc = {key: raw.get(key, copy.copy(default)) for key, (_, default) in _TOP_LEVEL.items()}
+    cfg = ExperimentConfig(**{f.name: raw[key] for key, f in _DOCUMENT_KEYS.items()
+                              if key in raw})
 
-    problem, method = doc["problem"], doc["method"]
-    if problem not in PROBLEMS:
-        errors.append(f"problem must be one of {sorted(PROBLEMS)}, got {problem!r}")
+    if cfg.problem not in PROBLEMS:
+        errors.append(f"problem must be one of {sorted(PROBLEMS)}, got {cfg.problem!r}")
     methods = sorted(m.value for m in Method)
-    if method not in methods:
-        errors.append(f"method must be one of {methods}, got {method!r}")
-    elif method != "bome" and problem != "minimax":
-        errors.append(f"method {method!r} is only supported on the minimax problem")
+    if cfg.method not in methods:
+        errors.append(f"method must be one of {methods}, got {cfg.method!r}")
+    elif cfg.method != "bome" and cfg.problem != "minimax":
+        errors.append(f"method {cfg.method!r} is only supported on the minimax problem")
     try:
-        _parse_solver(doc["solver"])
+        _parse_solver(cfg.solver_spec)
     except ConfigurationError as exc:
         errors.append(str(exc))
 
-    start = doc["start"]
-    if isinstance(start, dict):
-        unknown = sorted(start.keys() - {"v", "theta"})
+    if isinstance(cfg.start, dict):
+        unknown = sorted(cfg.start.keys() - {"v", "theta"})
         if unknown:
             errors.append(f"unknown start field(s): {', '.join(unknown)}")
-        if "v" not in start or "theta" not in start:
+        if "v" not in cfg.start or "theta" not in cfg.start:
             errors.append("explicit start must provide both 'v' and 'theta'")
 
-    sweep = doc["sweep"]
+    sweep = cfg.sweep
     if sweep is not None:
         unknown = sorted(sweep.keys() - _SOLVER_KEYS)
         # 0 when an entry is not a non-empty list
@@ -289,14 +291,8 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"sweep cross-product size {size} exceeds {MAX_SWEEP_SIZE}")
     if errors:
         raise ConfigurationError("; ".join(errors))
-
-    cfg = ExperimentConfig(solver_spec=doc.pop("solver"), **doc)
-    # Problem params and start are validated by actually building; the
-    # builders and JointPoint reject malformed values with these errors.
-    try:
-        build_experiment(cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"cannot build {problem!r}: {exc}") from exc
+    # problem params and start are validated by building
+    build_experiment(cfg)
     return cfg
 
 
@@ -473,8 +469,8 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigurationError(
             f"gradcheck needs --points >= 1 and --seed >= 0, got {args.points} and {args.seed}"
         )
-    oracle, presets = PROBLEMS[name][1]({}, args.seed)
-    v0, theta0 = presets["default"]
+    oracle, start = build_experiment(ExperimentConfig(name, solver_spec={"seed": args.seed}))
+    v0, theta0 = start.v, start.theta
     rng = np.random.default_rng(args.seed)
     points = []
     for _ in range(args.points):

@@ -5,11 +5,11 @@ plug-in approximation to the exact constraint gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BilevelOracle, JointPoint, MissingOracleCapability, joint_axpy
+from .core import BilevelOracle, JointGradient, JointPoint, MissingOracleCapability, joint_axpy
 from .barrier_step import grad_q_hat
 from .inner_loop import inner_descent
 
@@ -45,8 +45,10 @@ def check_gradient(
     points: Sequence[np.ndarray],
     h: float = DEFAULT_STEP_H,
     rel_tol: float = DEFAULT_REL_TOL,
+    coords: Optional[Sequence[int]] = None,
 ) -> GradCheckReport:
-    """Compare an analytic gradient with central finite differences.
+    """Compare an analytic gradient with central finite differences in the
+    coordinates ``coords`` (default: all).
 
     The per-coordinate relative error uses max(|analytic|, |numeric|, 1e-8)
     as the denominator. A non-finite function evaluation at a probe point is
@@ -60,7 +62,7 @@ def check_gradient(
     for x in points:
         x = np.asarray(x, dtype=float)
         analytic = np.asarray(grad(x), dtype=float)
-        for i in range(x.size):
+        for i in range(x.size) if coords is None else coords:
             e = np.zeros_like(x)
             e[i] = h
             fp, fm = fn(x + e), fn(x - e)
@@ -84,6 +86,20 @@ def check_gradient(
     )
 
 
+def _flattened(value_fn, grad_fn, m: int):
+    """``value_fn`` and ``grad_fn`` of a JointPoint as functions of one flat
+    vector (v, theta) whose first ``m`` entries are v."""
+
+    def fn(x):
+        return value_fn(JointPoint(x[:m], x[m:]))
+
+    def grad(x):
+        jg = grad_fn(JointPoint(x[:m], x[m:]))
+        return np.concatenate([jg.dv, jg.dtheta])
+
+    return fn, grad
+
+
 def check_oracle_gradients(
     oracle: BilevelOracle,
     points: Sequence[JointPoint],
@@ -91,27 +107,22 @@ def check_oracle_gradients(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> dict[str, GradCheckReport]:
     """Run check_gradient over both objectives of an oracle, flattening the
-    joint variable into a single vector per probe point."""
+    joint variable into a single vector (v, theta) per probe point. When the
+    oracle sets ``grad_g_theta``, the ``g_theta`` report checks it against
+    ``eval_g`` in the theta coordinates, with v held fixed."""
+    m, n = points[0].m, points[0].n
+    checks = {"f": (oracle.eval_f, oracle.grad_f, None),
+              "g": (oracle.eval_g, oracle.grad_g, None)}
+    if oracle.grad_g_theta is not None:
+        def grad_g_theta(p: JointPoint) -> JointGradient:
+            # no v-block: only the theta coordinates are probed
+            return JointGradient(np.zeros(p.m), oracle.grad_g_theta(p.v, p.theta))
 
-    def split(p: JointPoint, x: np.ndarray) -> JointPoint:
-        return JointPoint(x[: p.m], x[p.m:])
-
-    reports = {}
-    for label, value_fn, grad_fn in (
-        ("f", oracle.eval_f, oracle.grad_f),
-        ("g", oracle.eval_g, oracle.grad_g),
-    ):
-        flat_points = [np.concatenate([p.v, p.theta]) for p in points]
-
-        def fn(x, p0=points[0], value_fn=value_fn):
-            return value_fn(split(p0, x))
-
-        def grad(x, p0=points[0], grad_fn=grad_fn):
-            jg = grad_fn(split(p0, x))
-            return np.concatenate([jg.dv, jg.dtheta])
-
-        reports[label] = check_gradient(fn, grad, flat_points, h=h, rel_tol=rel_tol)
-    return reports
+        checks["g_theta"] = (oracle.eval_g, grad_g_theta, range(m, m + n))
+    flat_points = [np.concatenate([p.v, p.theta]) for p in points]
+    return {label: check_gradient(*_flattened(value_fn, grad_fn, m), flat_points,
+                                  h=h, rel_tol=rel_tol, coords=coords)
+            for label, (value_fn, grad_fn, coords) in checks.items()}
 
 
 def check_plug_in_estimator(

@@ -9,7 +9,7 @@ import contextlib
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -102,6 +102,8 @@ def run(
     ``None``.
     """
     warnings = validate_config(cfg, oracle.metadata)
+    # the run and its trace's snapshot read a copy the caller cannot edit
+    cfg = replace(cfg)
     if isinstance(method, str):
         method = Method(method)
     point = start.copy()

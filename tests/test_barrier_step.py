@@ -144,6 +144,12 @@ class TestComputePhi:
         with pytest.raises(ValueError):
             compute_phi(BarrierKind.VALUE, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["gradnorm", "bogus"])
+    def test_rejects_what_is_not_a_barrier_kind(self, kind):
+        # a barrier name is not its kind
+        with pytest.raises(ValueError, match=repr(kind)):
+            compute_phi(kind, 0.5, q_hat=1.0, grad_qhat_norm=2.0)
+
 
 class TestComputeLambda:
     def test_aligned_gradients_need_no_correction(self, rng):

@@ -28,6 +28,7 @@ from bome import (
 )
 from bome import cli
 from bome.cli import (
+    ExperimentConfig,
     build_experiment,
     emit_summary_json,
     emit_trace_csv,
@@ -45,6 +46,9 @@ class TestParseConfig:
         assert cfg.solver.eta == 0.5
         assert cfg.solver.inner_iters_T == 10
         assert cfg.solver.barrier_kind is BarrierKind.GRAD_NORM_SQ
+
+    def test_absent_keys_take_the_field_defaults(self):
+        assert parse_config('{"problem": "minimax"}') == ExperimentConfig(problem="minimax")
 
     def test_invalid_json_reports_location(self):
         with pytest.raises(ConfigurationError, match="line"):
@@ -599,6 +603,24 @@ class TestCliMain:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("command, doc, flags, written", [
+        ("run", {}, ["--seed", "0"], []),
+        ("sweep", {"sweep": {"seed": [2, 0]}}, [], ["h_000.csv"]),
+    ], ids=["seed-flag", "sweep-cell"])
+    def test_data_that_cannot_be_drawn_is_configuration_error(
+        self, tmp_path, monkeypatch, capsys, command, doc, flags, written
+    ):
+        # at this size seed 2 draws both classes into train and val, and seed
+        # 0 does not; a sweep keeps the cells before the failing one
+        outdir = tmp_path / "out"
+        monkeypatch.setenv("BOME_OUTPUT_DIR", str(outdir))
+        doc = {"problem": "hyperclean", "problem_params": {"m_tr": 3, "m_val": 2},
+               "solver": {"seed": 2, "iters": 3}, "output_path": "h.csv", **doc}
+        assert main([command, str(self.write_config(tmp_path, doc)), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot build 'hyperclean'")
+        assert sorted(p.name for p in outdir.glob("*")) == written
+
     @pytest.mark.parametrize("output_path", [None, "x.csv"])
     @pytest.mark.parametrize("sweep", [None, {"eta": [0.1, 0.5]}])
     def test_sweep_cell_names(self, tmp_path, monkeypatch, output_path, sweep):
@@ -797,7 +819,12 @@ def _documents(draw):
     """A three-step config on small data, with at most two fields (top-level or
     in its solver, problem_params or sweep) set to any small value."""
     problem = draw(st.sampled_from(sorted(_PARAMS)))
-    params = {"m_tr": 8, "m_val": 6, "p": 2} if problem in ("hyperclean", "ridge") else {}
+    params = {}
+    if problem in ("hyperclean", "ridge"):
+        # at the smaller size some seeds draw a hyper-cleaning split that
+        # lacks a class
+        m_tr, m_val = draw(st.sampled_from([(8, 6), (3, 2)]))
+        params = {"m_tr": m_tr, "m_val": m_val, "p": 2}
     doc = {"problem": problem, "problem_params": params, "solver": {"iters": 3}}
     # places to edit, in groups drawn with equal weight: top-level, solver,
     # problem_params and sweep fields
@@ -824,6 +851,11 @@ class TestConfigFuzz:
     @example(command="run", doc={"problem": {"name": "minimax"}})
     @example(command="sweep", doc={"problem": "coreset", "problem_params": {"x0": [[1, 2]]},
                                    "solver": {"iters": 3}})
+    # one that escaped as ValueError: a sweep cell whose seed cannot draw the
+    # hyper-cleaning data
+    @example(command="sweep", doc={"problem": "hyperclean",
+                                   "problem_params": {"m_tr": 3, "m_val": 2},
+                                   "solver": {"seed": 2, "iters": 3}, "sweep": {"seed": [2, 0]}})
     def test_main_returns_an_exit_code(self, command, doc):
         # a config ends as a run (0), a numerical error (1) or a configuration
         # error (2); nothing escapes main

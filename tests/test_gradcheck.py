@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from bome import (
     JointPoint,
     MissingOracleCapability,
     check_gradient,
+    check_oracle_gradients,
     check_plug_in_estimator,
+    coreset_oracle,
     make_synthetic_ridge,
     minimax_oracle,
     ridge_oracle,
 )
+from bome import cli
 
 
 class TestCheckGradient:
@@ -61,6 +66,30 @@ class TestCheckGradient:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             check_gradient(lambda x: 0.0, lambda x: x, [np.zeros(2)], h=0.0)
+
+
+class TestOracleGradients:
+    def test_wrong_grad_g_theta_fails_only_g_theta(self, rng):
+        # the inner loop's gradient; grad_g itself is right
+        oracle = coreset_oracle()
+        right = oracle.grad_g_theta
+        oracle = dataclasses.replace(oracle, grad_g_theta=lambda v, theta: 3.0 * right(v, theta))
+        pts = [JointPoint(rng.standard_normal(4), rng.standard_normal(2)) for _ in range(5)]
+        reports = check_oracle_gradients(oracle, pts)
+        assert reports["f"].passed and reports["g"].passed
+        assert not reports["g_theta"].passed
+        assert reports["g_theta"].worst_coordinate >= 4  # a theta coordinate
+
+    @pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+    def test_builtin_problems_pass_g_theta(self, rng, problem):
+        oracle, start = cli.build_experiment(cli.ExperimentConfig(problem))
+        # hyperclean weights stay inside (0, 1), away from the clip kinks
+        pts = [JointPoint(rng.uniform(0.2, 0.8, start.m) if problem == "hyperclean"
+                          else start.v + 0.5 * rng.standard_normal(start.m),
+                          start.theta + 0.5 * rng.standard_normal(start.n))
+               for _ in range(3)]
+        report = check_oracle_gradients(oracle, pts)["g_theta"]
+        assert report.passed and report.points_checked == 3
 
 
 class TestPlugInEstimator:

@@ -23,6 +23,7 @@ from bome import (
     run,
     running_min_kkt,
 )
+from bome.cli import summarize_trace
 from conftest import brute_simplex_projection, quadratic_pl_oracle
 
 
@@ -197,6 +198,17 @@ class TestRun:
         cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=3)
         trace = run(oracle, JointPoint([1.0], [1.0]), cfg, "gda")
         assert trace.method is Method.NAIVE_GDA
+
+    def test_config_snapshot_is_a_copy(self):
+        # editing the caller's config after the run changes neither the
+        # snapshot nor the summary's config
+        cfg = SolverConfig(outer_step_xi=0.05, eta=0.5, max_outer_iters_K=3)
+        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg)
+        written = summarize_trace(trace)["config"]
+        cfg.eta = 0.9
+        assert trace.config_snapshot is not cfg
+        assert trace.config_snapshot.eta == 0.5
+        assert summarize_trace(trace)["config"] == written
 
 
 class TestOracleCalls:
