@@ -15,14 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bome import JointPoint, Method, SolverConfig, coreset_oracle, lls_oracle, minimax_oracle, run
-from bome.cli import emit_summary_json, emit_trace_csv
-
-CORESET_STARTS = {
-    "start1": np.array([0.0, 3.0]),
-    "start2": np.array([-3.0, 1.0]),
-    "start3": np.array([3.5, 1.0]),
-}
+from bome import JointPoint, Method, SolverConfig, lls_oracle, minimax_oracle, run
+from bome.cli import ExperimentConfig, build_experiment, emit_summary_json, emit_trace_csv
 
 
 def main() -> int:
@@ -30,11 +24,13 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     traces = []
 
-    for name, theta0 in CORESET_STARTS.items():
+    for name in ("start1", "start2", "start3"):
+        # the CLI's named start, on the default geometry
+        coreset = ExperimentConfig("coreset", start=name)
         ref_cfg = SolverConfig(
             outer_step_xi=0.05, inner_iters_T=10, max_outer_iters_K=5000, kkt_eval_every=10
         )
-        trace = run(coreset_oracle(), JointPoint(np.zeros(4), theta0), ref_cfg)
+        trace = run(*build_experiment(coreset), ref_cfg)
         emit_trace_csv(trace, outdir / f"coreset_{name}_uniform.csv")
         traces.append(trace)
         print(
@@ -53,7 +49,7 @@ def main() -> int:
             kkt_eval_every=50,
             stop_kkt_tol=1e-4,
         )
-        trace = run(coreset_oracle(), JointPoint(np.zeros(4), theta0), damped_cfg)
+        trace = run(*build_experiment(coreset), damped_cfg)
         emit_trace_csv(trace, outdir / f"coreset_{name}_damped.csv")
         traces.append(trace)
         print(

@@ -2,20 +2,9 @@
 hyperparameter sweeps, and emit traces (CSV) and summaries (JSON) for
 external plotting.
 
-Config document shape::
-
-    {
-      "problem": "coreset" | "minimax" | "lls" | "hyperclean" | "ridge",
-      "problem_params": {...},          # optional, problem-specific
-      "method": "bome" | "gda" | "ogd", # default "bome"
-      "solver": {"xi": 0.05, "alpha": null, "T": 10, "eta": 0.5,
-                 "barrier": "gradnorm" | "value", "iters": 1000,
-                 "momentum": 0.0, "kkt_every": 10, "stop_kkt_tol": null,
-                 "seed": 0, "xi_v": null, "xi_theta": null},
-      "start": "start1" | {"v": [...], "theta": [...]},
-      "output_path": "trace.csv",
-      "sweep": {"eta": [0.1, 0.5, 0.9], "T": [1, 10]}
-    }
+A config document is a JSON object. Two tables spell it, key by key with
+each default: the fields of :class:`ExperimentConfig` its top level, and the
+fields of :class:`bome.core.SolverConfig` its ``solver`` object.
 
 An unset (or null) alpha, xi_v or xi_theta follows xi, also in a sweep over
 xi; a summary's ``config`` lists the resolved values. Unknown fields anywhere
@@ -34,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -66,32 +56,20 @@ MAX_SWEEP_SIZE = 10_000
 
 # how a type error names each JSON type
 _JSON_TYPES = {str: "a string", dict: "an object", type(None): "null"}
-# The solver schema: each JSON key, the SolverConfig field it sets, and the
-# argparse options of its run/sweep override flag (None: no flag). Unset keys
-# are left to SolverConfig, whose unset alpha, xi_v and xi_theta follow xi.
-_SOLVER_KEYS = {
-    "xi": ("outer_step_xi", {"type": float}),
-    "alpha": ("inner_step_alpha", {"type": float}),
-    "T": ("inner_iters_T", {"type": int}),
-    "eta": ("eta", {"type": float}),
-    "barrier": ("barrier_kind", {"choices": _BARRIER_NAMES}),
-    "iters": ("max_outer_iters_K", {"type": int}),
-    "momentum": ("momentum_beta", None),
-    "kkt_every": ("kkt_eval_every", None),
-    "stop_kkt_tol": ("stop_kkt_tol", None),
-    "seed": ("rng_seed", {"type": int}),
-    "xi_v": ("xi_v", None),
-    "xi_theta": ("xi_theta", None),
-}
+# The solver object's keys, each to its field of SolverConfig. A flagged key
+# is also a run/sweep flag, parsed by its field's annotation: float unless set.
+_SOLVER_KEYS = {f.metadata["key"]: f for f in fields(SolverConfig)}
+_FLAG_TYPES = {"int": {"type": int}, "BarrierKind": {"choices": _BARRIER_NAMES}}
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated experiment description, and the table of the config
     document's top level: each field is one key (``solver_spec`` is written
     ``solver``), its metadata lists the JSON types the key may hold, and its
     default is the key's value when absent. A key of another type is rejected
     before any check of its value; a missing problem is left to the check of
-    the problem name."""
+    the problem name. It is frozen: an edit is a copy, which parses its solver
+    object anew."""
 
     problem: Optional[str] = field(default=None, metadata={"types": (str,)})
     problem_params: dict = field(default_factory=dict, metadata={"types": (dict,)})
@@ -104,9 +82,10 @@ class ExperimentConfig:
     output_path: Optional[str] = field(default=None, metadata={"types": (str, type(None))})
     sweep: Optional[dict] = field(default=None, metadata={"types": (dict, type(None))})
 
-    @property
+    @cached_property
     def solver(self) -> SolverConfig:
-        """The validated solver settings that ``solver_spec`` writes."""
+        """The validated solver settings that ``solver_spec`` writes, parsed on
+        the first read."""
         return _parse_solver(self.solver_spec)
 
 
@@ -187,11 +166,24 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ConfigurationError(f"unknown {where} field(s): {', '.join(unknown)}")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or holds one."""
+    items = list(value.values()) if isinstance(value, dict) else value
+    if not isinstance(items, list):
+        return isinstance(items, bool)
+    types = set(map(type, items))  # recurse only into nested lists and objects
+    return bool in types or not types.isdisjoint((list, dict)) and any(map(_holds_bool, items))
+
+
 def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
     """Instantiate the oracle and the resolved start point for a config. The
     builders and JointPoint reject malformed values with TypeError or
-    ValueError, which raise as a :class:`ConfigurationError`."""
+    ValueError, which raise as a :class:`ConfigurationError`; so does a
+    boolean, which numpy would read as a number but no key takes."""
     try:
+        for where, value in (("problem_params", cfg.problem_params), ("start", cfg.start)):
+            if _holds_bool(value):
+                raise TypeError(f"{where} holds a boolean, which no key takes")
         oracle, presets = PROBLEMS[cfg.problem][1](cfg.problem_params, cfg.solver.rng_seed)
         if isinstance(cfg.start, str):
             if cfg.start not in presets:
@@ -221,16 +213,18 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[BilevelOracle, JointPoint]:
 
 def _parse_solver(spec: dict) -> SolverConfig:
     _reject_unknown(spec, _SOLVER_KEYS, "solver")
-    cfg = SolverConfig(**{_SOLVER_KEYS[key][0]: val for key, val in spec.items()
+    cfg = SolverConfig(**{_SOLVER_KEYS[key].name: val for key, val in spec.items()
                           if val is not None})
     validate_config(cfg)
     return cfg
 
 
-def _edit_solver(cfg: ExperimentConfig, edits: dict) -> None:
-    """Apply ``edits`` to the solver object as written; the result must parse."""
-    cfg.solver_spec = {**cfg.solver_spec, **edits}
-    _parse_solver(cfg.solver_spec)
+def _edit_solver(cfg: ExperimentConfig, edits: dict, **changes) -> ExperimentConfig:
+    """A copy of ``cfg`` with ``edits`` applied to its solver object as written
+    and ``changes`` to its other fields; the edited solver must parse."""
+    child = replace(cfg, solver_spec={**cfg.solver_spec, **edits}, **changes)
+    child.solver  # parsed here, so that a bad edit is reported before any run
+    return child
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -265,7 +259,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif cfg.method != "bome" and cfg.problem != "minimax":
         errors.append(f"method {cfg.method!r} is only supported on the minimax problem")
     try:
-        _parse_solver(cfg.solver_spec)
+        cfg.solver  # parsed once: later reads of this config reuse it
     except ConfigurationError as exc:
         errors.append(str(exc))
 
@@ -310,15 +304,14 @@ def expand_sweep(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     stem, ext = os.path.splitext(_output_name(cfg))
     out = []
     for idx, combo in enumerate(itertools.product(*(cfg.sweep[k] for k in keys))):
-        child = replace(cfg, sweep=None, output_path=f"{stem}_{idx:03d}{ext or '.csv'}")
-        _edit_solver(child, dict(zip(keys, combo)))
-        out.append(child)
+        out.append(_edit_solver(cfg, dict(zip(keys, combo)), sweep=None,
+                                output_path=f"{stem}_{idx:03d}{ext or '.csv'}"))
     return out
 
 
 def _solver_to_dict(cfg: SolverConfig) -> dict:
     """The resolved solver settings under their JSON keys, for summaries."""
-    out = {key: getattr(cfg, attr) for key, (attr, _) in _SOLVER_KEYS.items()}
+    out = {key: getattr(cfg, f.name) for key, f in _SOLVER_KEYS.items()}
     out["barrier"] = cfg.barrier_kind.value
     return out
 
@@ -430,12 +423,10 @@ def _resolve_output(name: str) -> Path:
 
 def _cmd_run_or_sweep(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    flags = {key: getattr(args, key) for key, (_, flag) in _SOLVER_KEYS.items()
-             if flag is not None and getattr(args, key) is not None}
-    if flags:
-        _edit_solver(cfg, flags)
-    if args.out:
-        cfg.output_path = args.out
+    flags = {key: getattr(args, key) for key, f in _SOLVER_KEYS.items()
+             if f.metadata.get("flag") and getattr(args, key) is not None}
+    if flags or args.out:
+        cfg = _edit_solver(cfg, flags, output_path=args.out or cfg.output_path)
     is_sweep = args.command == "sweep"
     if not is_sweep and cfg.sweep:
         raise ConfigurationError(
@@ -512,9 +503,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                        ("sweep", "run the sweep cross-product of a config")):
         p = sub.add_parser(name, help=text)
         p.add_argument("config")
-        for key, (_, flag) in _SOLVER_KEYS.items():
-            if flag is not None:
-                p.add_argument(f"--{key}", default=None, **flag)
+        for key, f in _SOLVER_KEYS.items():
+            if f.metadata.get("flag"):
+                p.add_argument(f"--{key}", default=None,
+                               **_FLAG_TYPES.get(f.type, {"type": float}))
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--jobs", type=int, default=1, help="ignored: cells run one at a time")
         p.set_defaults(handler=_cmd_run_or_sweep)

@@ -231,20 +231,26 @@ class SolverConfig:
     separate v and theta outer steps all equal to the outer step xi. Unset
     steps are resolved at construction, so ``dataclasses.replace`` of
     ``outer_step_xi`` alone leaves them at the old xi.
+
+    This is the one table of a config's solver object. Its fields, in order,
+    are the object's keys, each named in its metadata, and the keys a run or
+    sweep also takes as a flag are marked ``flag``.
     """
 
-    outer_step_xi: float = 0.05
-    inner_step_alpha: Optional[float] = None
-    inner_iters_T: int = 10
-    eta: float = 0.5
-    barrier_kind: BarrierKind = BarrierKind.GRAD_NORM_SQ
-    max_outer_iters_K: int = 1000
-    xi_v: Optional[float] = None
-    xi_theta: Optional[float] = None
-    momentum_beta: float = 0.0
-    kkt_eval_every: int = 10
-    stop_kkt_tol: Optional[float] = None
-    rng_seed: int = 0
+    outer_step_xi: float = field(default=0.05, metadata={"key": "xi", "flag": True})
+    inner_step_alpha: Optional[float] = field(default=None,
+                                              metadata={"key": "alpha", "flag": True})
+    inner_iters_T: int = field(default=10, metadata={"key": "T", "flag": True})
+    eta: float = field(default=0.5, metadata={"key": "eta", "flag": True})
+    barrier_kind: BarrierKind = field(default=BarrierKind.GRAD_NORM_SQ,
+                                      metadata={"key": "barrier", "flag": True})
+    max_outer_iters_K: int = field(default=1000, metadata={"key": "iters", "flag": True})
+    momentum_beta: float = field(default=0.0, metadata={"key": "momentum"})
+    kkt_eval_every: int = field(default=10, metadata={"key": "kkt_every"})
+    stop_kkt_tol: Optional[float] = field(default=None, metadata={"key": "stop_kkt_tol"})
+    rng_seed: int = field(default=0, metadata={"key": "seed", "flag": True})
+    xi_v: Optional[float] = field(default=None, metadata={"key": "xi_v"})
+    xi_theta: Optional[float] = field(default=None, metadata={"key": "xi_theta"})
 
     def __post_init__(self):
         for name in _FOLLOW_XI:

@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,6 +51,15 @@ class TestParseConfig:
 
     def test_absent_keys_take_the_field_defaults(self):
         assert parse_config('{"problem": "minimax"}') == ExperimentConfig(problem="minimax")
+
+    def test_parsed_config_is_frozen(self):
+        # an edit is a copy, so the solver a config parsed once cannot go stale
+        cfg = parse_config('{"problem": "minimax", "solver": {"eta": 0.9}}')
+        assert cfg.solver.eta == 0.9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.solver_spec = {"eta": 0.1}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.output_path = "x.csv"
 
     def test_invalid_json_reports_location(self):
         with pytest.raises(ConfigurationError, match="line"):
@@ -586,6 +597,15 @@ class TestCliMain:
         ("run", {"problem": "coreset",
                  "problem_params": {"vertices": [[1, 0], [0, 1], [float("inf"), 0]]}}),
         ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": float("inf")}}),
+        # numpy reads a boolean as a number, but no key takes one
+        ("run", {"problem": "minimax", "start": {"v": [True], "theta": [False]}}),
+        ("run", {"problem": "coreset", "problem_params": {"x0": [True, False]}}),
+        ("run", {"problem": "coreset",
+                 "problem_params": {"vertices": [[1, 0], [0, True], [-1, 0]]}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"ridge_c": True}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"corrupt_frac": False}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"seed": True}}),
+        ("run", {"problem": "ridge", "problem_params": {"noise": True}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
             "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
@@ -593,7 +613,8 @@ class TestCliMain:
             "start-extra-field", "start-v-only", "start-number", "sweep-list", "sweep-empty",
             "sweep-unknown-key", "sweep-scalar", "sweep-empty-list", "kkt_every-0",
             "stop_kkt_tol-0", "problem-list", "problem-object", "x0-2d", "x0-inf",
-            "vertices-inf", "ridge_c-inf"])
+            "vertices-inf", "ridge_c-inf", "start-bool", "x0-bool", "vertices-bool",
+            "ridge_c-bool", "corrupt_frac-bool", "seed-bool", "noise-bool"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -620,6 +641,20 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cannot build 'hyperclean'")
         assert sorted(p.name for p in outdir.glob("*")) == written
+
+    @pytest.mark.parametrize("command, doc, flags, calls", [
+        ("run", {}, [], 1),
+        ("sweep", {"sweep": {"eta": [0.1, 0.5, 0.9]}}, ["--seed", "1"], 5),
+    ], ids=["run", "sweep-seed-flag"])
+    def test_each_config_parses_its_solver_once(
+        self, tmp_path, monkeypatch, command, doc, flags, calls
+    ):
+        # one parse of the document, one of the flag's edit and one per cell
+        monkeypatch.setenv("BOME_OUTPUT_DIR", str(tmp_path / "out"))
+        path = self.write_config(tmp_path, {"problem": "minimax", "solver": {"iters": 3}, **doc})
+        with mock.patch.object(cli, "_parse_solver", wraps=cli._parse_solver) as parse:
+            assert main([command, str(path), *flags]) == 0
+        assert parse.call_count == calls
 
     @pytest.mark.parametrize("output_path", [None, "x.csv"])
     @pytest.mark.parametrize("sweep", [None, {"eta": [0.1, 0.5]}])
@@ -796,6 +831,48 @@ class TestCliMain:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestSolverTable:
+    """The surfaces derived from the fields of SolverConfig."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_help_lists_the_flagged_keys(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options = re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M)
+        assert options == ["--xi", "--alpha", "--T", "--eta", "--barrier", "--iters", "--seed",
+                           "--out", "--jobs"]
+
+    @pytest.mark.parametrize("flags", [["--T", "1.5"], ["--iters", "x"], ["--barrier", "bogus"]],
+                             ids=["T-float", "iters-text", "barrier-unknown"])
+    def test_flag_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "minimax", "solver": {"iters": 3}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_summary_config_lists_the_keys_in_field_order(self, tmp_path):
+        out = tmp_path / "mm.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "minimax", "solver": {"iters": 3},
+                                    "output_path": str(out)}))
+        assert main(["run", str(path)]) == 0
+        config = json.loads(out.with_suffix(".summary.json").read_text())[0]["config"]
+        assert list(config) == ["xi", "alpha", "T", "eta", "barrier", "iters", "momentum",
+                                "kkt_every", "stop_kkt_tol", "seed", "xi_v", "xi_theta"]
+
+    def test_readme_config_document_lists_the_table_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("Config document:", 1)[1]
+        doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        assert list(doc) == list(cli._DOCUMENT_KEYS)
+        assert list(doc["solver"]) == list(cli._SOLVER_KEYS)
 
 
 # Small JSON values of every kind: no size among them is above 50.
