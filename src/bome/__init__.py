@@ -30,7 +30,6 @@ from .barrier_step import (
 )
 from .metrics import (
     KktReport,
-    KktVariant,
     kkt_attraction,
     kkt_exact,
     kkt_proxy,

@@ -66,10 +66,15 @@ def q_hat_value(oracle: BilevelOracle, v, theta, theta_T) -> float:
     Nonnegative whenever the inner loop descended monotonically; tiny negative
     round-off values are reported as-is (only the barrier clamps them).
     """
+    here, ref = _g_pair(oracle, v, theta, theta_T)
+    return float(here - ref)
+
+
+def _g_pair(oracle: BilevelOracle, v, theta, theta_T) -> tuple:
+    # g(v, theta) and g(v, theta_T), the two values q_hat subtracts
     v = np.asarray(v, dtype=float)
     here = oracle.eval_g(JointPoint._trusted(v, theta))
-    ref = oracle.eval_g(JointPoint._trusted(v, theta_T))
-    return float(here - ref)
+    return here, oracle.eval_g(JointPoint._trusted(v, theta_T))
 
 
 def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:

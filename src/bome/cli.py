@@ -421,6 +421,15 @@ def _resolve_output(name: str) -> Path:
     return out
 
 
+# the stderr line of each termination that fails a run
+_FAILURES = {
+    Termination.NUMERICAL_ERROR: "run on {name} hit a numerical error",
+    Termination.INNER_ASCENT: ("run on {name} stopped on a negative feasibility term: "
+                               "inner descent at alpha = {alpha!r} climbs g, so no score "
+                               "certifies the run; lower alpha"),
+}
+
+
 def _cmd_run_or_sweep(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     flags = {key: getattr(args, key) for key, f in _SOLVER_KEYS.items()
@@ -446,9 +455,11 @@ def _cmd_run_or_sweep(args) -> int:
     emit_summary_json(traces, summary_path)
     print(f"wrote {summary_path}")
 
-    failed = [t for t in traces if t.termination is Termination.NUMERICAL_ERROR]
+    failed = [t for t in traces
+              if t.termination not in (Termination.MAX_ITERS, Termination.KKT_TOL)]
     for t in failed:
-        print(f"run on {t.problem_name} hit a numerical error", file=sys.stderr)
+        print(_FAILURES[t.termination].format(
+            name=t.problem_name, alpha=t.config_snapshot.inner_step_alpha), file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -15,7 +15,6 @@ reference inner points theta_ref:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +30,7 @@ from .core import (
     joint_dot,
 )
 from .barrier_step import (
-    BarrierSolution, _barrier_multiplier, bome_step, grad_q_hat, q_hat_value,
+    BarrierSolution, _barrier_multiplier, _g_pair, bome_step, grad_q_hat,
 )
 from .inner_loop import (
     DEFAULT_ATTRACTION_GRAD_TOL,
@@ -41,26 +40,25 @@ from .inner_loop import (
 )
 
 
-class KktVariant(enum.Enum):
-    EXACT = "exact"
-    PROXY = "proxy"
-    ATTRACTION = "attraction"
-
-
 @dataclass
 class KktReport:
-    """Decomposition of the stationarity score at one point."""
+    """Decomposition of the stationarity score at one point. The report is
+    named by the function that made it (:func:`kkt_exact`, :func:`kkt_proxy`
+    or :func:`kkt_attraction`), and a run's score by its trace. The
+    feasibility term is q = g(v, theta) - g(v, theta_ref), and ``g_scale`` is
+    |g(v, theta)| + |g(v, theta_ref)|, the size of the two values it
+    subtracts, against which its round-off is judged."""
 
     local_improvement: float
     feasibility: float
     total: float
     lambda_star: float
-    variant: KktVariant
+    g_scale: float
 
 
 def _assemble_report(
     grad_f: JointGradient, grad_q: JointGradient, q: float,
-    grad_q_sq: float, grad_f_dot_q: float, variant: KktVariant,
+    grad_q_sq: float, grad_f_dot_q: float, g_scale: float,
 ) -> KktReport:
     # the multiplier minimizing ||grad_f + lambda * grad_q||^2 over lambda >= 0
     # is the barrier multiplier with phi = 0, from ||grad_q||^2 and <grad_f, grad_q>
@@ -72,18 +70,16 @@ def _assemble_report(
         feasibility=q,
         total=local + q,
         lambda_star=lam,
-        variant=variant,
+        g_scale=g_scale,
     )
 
 
-def _score_against(
-    oracle: BilevelOracle, point: JointPoint, theta_ref: np.ndarray, variant: KktVariant
-) -> KktReport:
-    q = q_hat_value(oracle, point.v, point.theta, theta_ref)
+def _score_against(oracle: BilevelOracle, point: JointPoint, theta_ref: np.ndarray) -> KktReport:
+    here, ref = _g_pair(oracle, point.v, point.theta, theta_ref)
     grad_q = grad_q_hat(oracle, point.v, point.theta, theta_ref)
     grad_f = oracle.grad_f(point)
-    return _assemble_report(grad_f, grad_q, q, joint_dot(grad_q, grad_q),
-                            joint_dot(grad_f, grad_q), variant)
+    return _assemble_report(grad_f, grad_q, float(here - ref), joint_dot(grad_q, grad_q),
+                            joint_dot(grad_f, grad_q), float(abs(here) + abs(ref)))
 
 
 def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
@@ -97,7 +93,7 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     if oracle.exact_inner_opt is None:
         raise MissingOracleCapability("exact stationarity needs exact_inner_opt")
     theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
-    return _score_against(oracle, point, theta_star, KktVariant.EXACT)
+    return _score_against(oracle, point, theta_star)
 
 
 def kkt_proxy(
@@ -117,8 +113,9 @@ def kkt_proxy(
     """
     if step is None:
         step = bome_step(oracle, point, cfg)[1]
+    inner = step.inner_result
     return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, step.grad_qhat_sq,
-                            step.grad_f_dot_qhat, KktVariant.PROXY)
+                            step.grad_f_dot_qhat, abs(inner.g_before) + abs(inner.g_after))
 
 
 def kkt_attraction(
@@ -137,4 +134,4 @@ def kkt_attraction(
     attraction point within ``max_iters`` iterations.
     """
     target = attraction_point(oracle, point.v, point.theta, alpha, tol, max_iters)
-    return _score_against(oracle, point, target, KktVariant.ATTRACTION)
+    return _score_against(oracle, point, target)

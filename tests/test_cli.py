@@ -524,6 +524,21 @@ class TestCliMain:
         )
         assert main(["run", str(cfg)]) == 1
 
+    def test_negative_feasibility_does_not_stop_as_converged(self, tmp_path, capsys):
+        # hyper-cleaning's default alpha = 0.05 makes inner descent climb g, so
+        # the first score is -279.0; it used to stop the run as kkt_tol, exit 0
+        out = tmp_path / "h.csv"
+        cfg = self.write_config(tmp_path, {"problem": "hyperclean",
+                                           "solver": {"stop_kkt_tol": 1e-4},
+                                           "output_path": str(out)})
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "negative feasibility term" in err and "alpha = 0.05 climbs g" in err
+        entry = json.loads(out.with_suffix(".summary.json").read_text())[0]
+        assert entry["termination"] == "inner_ascent"
+        assert entry["final_kkt"] is None and entry["running_min_kkt"] is None
+        assert read_trace_csv(out) == [] and entry["iterations"] == 0
+
     def test_step_size_warnings_reach_stderr_and_summary(self, tmp_path, capsys):
         # the default xi = alpha = 0.05 is past ridge's declared 1/L, so the
         # run diverges in its first step; both warnings say why

@@ -9,7 +9,6 @@ from bome import (
     BarrierKind,
     JointGradient,
     JointPoint,
-    KktVariant,
     MissingOracleCapability,
     NotConvergedError,
     SolverConfig,
@@ -91,7 +90,6 @@ class TestKktExact:
         v = rng.standard_normal(2)
         report = kkt_exact(oracle, JointPoint(v, oracle.exact_inner_opt(v)))
         assert report.feasibility == 0.0
-        assert report.variant is KktVariant.EXACT
         assert report.total == report.local_improvement
 
     def test_local_improvement_bounded_by_grad_f(self, rng):
@@ -128,7 +126,6 @@ class TestKktExact:
         report = kkt_exact(oracle, p)
         # q = g - 0 and the value-function gradient is identically zero
         assert report.feasibility == pytest.approx((0.9 - 0.5) ** 2, rel=1e-14)
-        assert report.variant is KktVariant.EXACT
 
     def test_lls_score_independent_of_chosen_minimizer(self, rng):
         # every point (v, c) of the minimizer line serves as theta*(v): g is 0
@@ -158,7 +155,6 @@ class TestKktProxy:
         oracle.grad_f = grad_f
         report = kkt_proxy(oracle, JointPoint(v, theta_star), SolverConfig())
         assert report.total == 0.0
-        assert report.variant is KktVariant.PROXY
 
     def test_T_zero_reduces_to_local_improvement(self, rng):
         oracle = quadratic_pl_oracle()
@@ -206,6 +202,13 @@ def _hyperclean_case():
     return hyperclean_oracle(prob), start, SolverConfig(outer_step_xi=0.002)
 
 
+def _coreset_case():
+    # the quick-start steps, momentum included
+    cfg = SolverConfig(outer_step_xi=0.002, inner_step_alpha=0.25, xi_v=1.0, xi_theta=0.002,
+                       momentum_beta=0.9)
+    return coreset_oracle(), JointPoint(np.zeros(4), [0.0, 3.0]), cfg
+
+
 def _lls_case():
     return lls_oracle(), JointPoint([0.0], [0.0, 3.0]), SolverConfig(outer_step_xi=0.02)
 
@@ -220,7 +223,9 @@ def _ridge_case():
 
 class TestKktProxyFromStep:
     """A proxy score at a BOME iterate reuses that step's plug-in quantities
-    and equals the standalone score there exactly."""
+    and equals the standalone score there exactly; with an exact capability
+    run() scores every iterate, and the end point, by the standalone exact
+    score instead."""
 
     @pytest.mark.parametrize("case", [
         lambda: _minimax_case(BarrierKind.GRAD_NORM_SQ, 0.0),
@@ -251,6 +256,24 @@ class TestKktProxyFromStep:
         assert np.array_equal(point.v, trace.final_point.v)
         assert np.array_equal(point.theta, trace.final_point.theta)
 
+    @pytest.mark.parametrize("case", [_coreset_case, _lls_case, _ridge_case],
+                             ids=["coreset", "lls", "ridge"])
+    def test_run_scores_equal_standalone_exact(self, case):
+        oracle, start, cfg = case()
+        cfg = dataclasses.replace(cfg, max_outer_iters_K=30, kkt_eval_every=1)
+        trace = run(oracle, start, cfg)
+        assert trace.kkt_variant == "exact" and len(trace.records) == 30
+
+        point = start.copy()
+        velocity = JointGradient(np.zeros(point.m), np.zeros(point.n))
+        for rec in trace.records:
+            assert rec.kkt_value == kkt_exact(oracle, point).total
+            point, sol = bome_step(oracle, point, cfg, velocity)
+            velocity = sol.velocity
+        assert np.array_equal(point.v, trace.final_point.v)
+        assert np.array_equal(point.theta, trace.final_point.theta)
+        assert trace.final_kkt.total == kkt_exact(oracle, point).total
+
 
 class TestKktAttraction:
     def test_unimodal_matches_exact(self, rng):
@@ -258,7 +281,6 @@ class TestKktAttraction:
         p = JointPoint(rng.standard_normal(2), rng.standard_normal(2))
         att = kkt_attraction(oracle, p, alpha=0.2)
         exact = kkt_exact(oracle, p)
-        assert att.variant is KktVariant.ATTRACTION
         assert att.total == pytest.approx(exact.total, rel=1e-6, abs=1e-9)
 
     def test_double_well_scores_against_local_basin(self):

@@ -18,12 +18,17 @@ from bome import (
     StepRecords,
     Termination,
     coreset_oracle,
+    hyperclean_oracle,
+    inner_descent,
     lls_oracle,
+    make_synthetic_hyperclean,
+    make_synthetic_ridge,
     minimax_oracle,
+    ridge_oracle,
     run,
     running_min_kkt,
 )
-from bome.cli import summarize_trace
+from bome.cli import build_experiment, parse_config, summarize_trace
 from conftest import brute_simplex_projection, quadratic_pl_oracle
 
 
@@ -451,3 +456,65 @@ class TestRunningMinKkt:
         assert len(trace.records) == 3
         with pytest.raises(ValueError):
             running_min_kkt(trace)
+
+
+def _small_hyperclean():
+    prob = make_synthetic_hyperclean(seed=3, m_tr=40, m_val=16, p=4, corrupt_frac=0.3)
+    start = JointPoint(0.5 * np.ones(prob.n_train), np.zeros(prob.theta_dim))
+    return hyperclean_oracle(prob), start
+
+
+def _small_ridge():
+    oracle = ridge_oracle(make_synthetic_ridge(seed=0, m_tr=50, m_val=30, p=5, noise=0.1))
+    return oracle, JointPoint(np.zeros(5), np.zeros(5))
+
+
+SCORED_PROBLEMS = {
+    "coreset": lambda: (coreset_oracle(), JointPoint(np.zeros(4), [0.0, 3.0])),
+    "hyperclean": _small_hyperclean,
+    "minimax": lambda: (minimax_oracle(), JointPoint([1.0], [1.0])),
+    "ridge": _small_ridge,
+}
+
+
+class TestNegativeFeasibility:
+    """The true feasibility term q = g(v, theta) - g(v, theta_ref) is never
+    negative, so a score whose term is below 0 beyond round-off certifies
+    nothing and must not end a run as converged. The round-off allowance is
+    sqrt(eps) * (|g(v, theta)| + |g(v, theta_ref)|), spelled here on its own."""
+
+    def test_hyperclean_default_steps_end_as_inner_ascent(self):
+        # alpha = 0.05 is ~25x over 1/L_theta at m_tr = 300, so the first
+        # score's q_hat is -280.3; that score used to stop the run as kkt_tol
+        oracle, start = build_experiment(parse_config('{"problem": "hyperclean"}'))
+        trace = run(oracle, start, SolverConfig(stop_kkt_tol=1e-4))
+        assert trace.termination is Termination.INNER_ASCENT
+        assert len(trace.records) == 0 and trace.final_kkt is None
+        assert summarize_trace(trace)["running_min_kkt"] is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=st.sampled_from(sorted(SCORED_PROBLEMS)),
+        log_alpha=st.floats(-3.0, 0.5),
+        log_tol=st.floats(-8.0, 4.0),
+        every=st.integers(1, 4),
+        K=st.integers(1, 12),
+    )
+    @example(problem="hyperclean", log_alpha=0.0, log_tol=0.0, every=1, K=5)
+    def test_no_kkt_tol_end_below_the_allowance(self, problem, log_alpha, log_tol, every, K):
+        oracle, start = SCORED_PROBLEMS[problem]()
+        cfg = SolverConfig(outer_step_xi=1e-3, inner_step_alpha=10.0 ** log_alpha,
+                           max_outer_iters_K=K, kkt_eval_every=every,
+                           stop_kkt_tol=10.0 ** log_tol)
+        trace = run(oracle, start, cfg)
+        if trace.termination is not Termination.KKT_TOL:
+            return
+        # the run stopped at its last scored iterate without taking its step
+        point = trace.final_point
+        if oracle.exact_inner_opt is not None:
+            theta_ref = oracle.exact_inner_opt(point.v)
+        else:
+            theta_ref = inner_descent(oracle, point.v, point.theta, cfg.inner_iters_T,
+                                      cfg.inner_step_alpha).theta_T
+        here, ref = oracle.eval_g(point), oracle.eval_g(JointPoint(point.v, theta_ref))
+        assert here - ref >= -math.sqrt(np.finfo(float).eps) * (abs(here) + abs(ref))

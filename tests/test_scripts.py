@@ -1,6 +1,6 @@
-"""Smoke test for the experiment scripts and the README's library quick
-start: they are entry points of their own that import the library's public
-names, so run them end to end."""
+"""Smoke test for the experiment scripts, the output digest and the README's
+library quick start: they are entry points of their own that import the
+library's public names, so run them end to end."""
 
 import json
 import os
@@ -56,3 +56,17 @@ def test_readme_quick_start_runs_to_its_tolerance():
     assert proc.returncode == 0, proc.stderr
     # the block prints the final theta, then the final stationarity score
     assert float(proc.stdout.split()[-1]) < 1e-4
+
+
+def test_output_digest_repeats_on_one_tree():
+    # one invocation runs the workload twice, each in its own bome process
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "output_digest.py"), str(REPO / "src"),
+         "--workload", "minimax-curve", "--seed", "0", "--seed", "0"],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert re.fullmatch(r"[0-9a-f]{64}  minimax-curve seed=0", lines[0])
