@@ -11,7 +11,6 @@ from .core import (
     JointGradient,
     JointPoint,
     MissingOracleCapability,
-    NotConvergedError,
     NumericalError,
     ProblemMetadata,
     SolverConfig,
@@ -19,7 +18,7 @@ from .core import (
     StepRecords,
     validate_config,
 )
-from .inner_loop import InnerResult, attraction_point, inner_descent
+from .inner_loop import InnerResult, inner_descent
 from .barrier_step import (
     BarrierSolution,
     bome_step,
@@ -30,7 +29,6 @@ from .barrier_step import (
 )
 from .metrics import (
     KktReport,
-    kkt_attraction,
     kkt_exact,
     kkt_proxy,
 )

@@ -491,8 +491,11 @@ def _cmd_gradcheck(args) -> int:
         print()
         ok = ok and report.passed
     if oracle.exact_inner_opt is not None:
+        # half the declared 1/L keeps inner descent contracting; 0.05 otherwise
+        L = oracle.metadata.smoothness_L if oracle.metadata is not None else None
+        alpha = 0.05 if L is None else 1.0 / (2.0 * L)
         errors = check_plug_in_estimator(
-            oracle, points[: min(5, len(points))], [1, 2, 4, 8, 16], alpha=0.05
+            oracle, points[: min(5, len(points))], [1, 2, 4, 8, 16], alpha
         )
         print("plug-in constraint-gradient error vs inner steps:")
         print(plug_in_table_text(errors))

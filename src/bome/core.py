@@ -40,16 +40,6 @@ class MissingOracleCapability(BilevelError):
     """An operation needs an optional oracle capability that is absent."""
 
 
-class NotConvergedError(BilevelError):
-    """An iterative subroutine spent its budget of ``iters`` iterations before
-    reaching tolerance; ``last_theta`` is its last iterate and ``grad_norm``
-    the gradient norm there."""
-
-    def __init__(self, message: str, last_theta: np.ndarray, grad_norm: float, iters: int):
-        super().__init__(message)
-        self.last_theta, self.grad_norm, self.iters = last_theta, grad_norm, iters
-
-
 _FLOAT = np.dtype(float)
 
 
@@ -171,8 +161,8 @@ class ProblemMetadata:
     def __post_init__(self):
         for name in ("smoothness_L", "pl_constant_kappa", "bound_M"):
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ValueError(f"{name} must be strictly positive, got {val}")
+            if val is not None and not 0 < val < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, got {val}")
 
 
 @dataclass

@@ -3,14 +3,14 @@
 The score is min_{lambda >= 0} ||grad f + lambda * grad q||^2 + q, the sum of
 a local-improvement term (how far grad f is from being blockable by the
 constraint gradient) and a feasibility term (the inner suboptimality q).
-The variants take q = g(v, theta) - g(v, theta_ref) and its stop-gradient
-derivative (:func:`q_hat_value`, :func:`grad_q_hat`) against different
-reference inner points theta_ref:
+The two variants take q = g(v, theta) - g(v, theta_ref) and its
+stop-gradient derivative (:func:`q_hat_value`, :func:`grad_q_hat`) against
+different reference inner points theta_ref:
 
-* exact      -- a closed-form inner minimizer theta*(v);
-* proxy      -- theta^(T), the same T-step plug-in estimate the solver uses;
-* attraction -- the basin-local minimum reached by running inner gradient
-                descent to convergence from the current theta.
+* exact -- a closed-form inner minimizer theta*(v);
+* proxy -- theta^(T), the same T-step plug-in estimate the solver uses. On a
+           multimodal g it is basin-local: theta^(T) descends into the basin
+           of the current theta and, at long T, reaches that basin's minimum.
 """
 
 from __future__ import annotations
@@ -32,20 +32,15 @@ from .core import (
 from .barrier_step import (
     BarrierSolution, _barrier_multiplier, _g_pair, bome_step, grad_q_hat,
 )
-from .inner_loop import (
-    DEFAULT_ATTRACTION_GRAD_TOL,
-    DEFAULT_ATTRACTION_MAX_ITERS,
-    attraction_point,
-    inner_descent,  # unused here; perfbench/tracing.py patches bome.metrics.inner_descent
-)
+from .inner_loop import inner_descent  # unused here; perfbench/tracing.py patches it
 
 
 @dataclass
 class KktReport:
     """Decomposition of the stationarity score at one point. The report is
-    named by the function that made it (:func:`kkt_exact`, :func:`kkt_proxy`
-    or :func:`kkt_attraction`), and a run's score by its trace. The
-    feasibility term is q = g(v, theta) - g(v, theta_ref), and ``g_scale`` is
+    named by the function that made it (:func:`kkt_exact` or
+    :func:`kkt_proxy`), and a run's score by its trace. The feasibility term
+    is q = g(v, theta) - g(v, theta_ref), and ``g_scale`` is
     |g(v, theta)| + |g(v, theta_ref)|, the size of the two values it
     subtracts, against which its round-off is judged."""
 
@@ -74,14 +69,6 @@ def _assemble_report(
     )
 
 
-def _score_against(oracle: BilevelOracle, point: JointPoint, theta_ref: np.ndarray) -> KktReport:
-    here, ref = _g_pair(oracle, point.v, point.theta, theta_ref)
-    grad_q = grad_q_hat(oracle, point.v, point.theta, theta_ref)
-    grad_f = oracle.grad_f(point)
-    return _assemble_report(grad_f, grad_q, float(here - ref), joint_dot(grad_q, grad_q),
-                            joint_dot(grad_f, grad_q), float(abs(here) + abs(ref)))
-
-
 def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     """Stationarity report against the oracle's closed-form inner minimizer.
 
@@ -93,7 +80,11 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     if oracle.exact_inner_opt is None:
         raise MissingOracleCapability("exact stationarity needs exact_inner_opt")
     theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
-    return _score_against(oracle, point, theta_star)
+    here, ref = _g_pair(oracle, point.v, point.theta, theta_star)
+    grad_q = grad_q_hat(oracle, point.v, point.theta, theta_star)
+    grad_f = oracle.grad_f(point)
+    return _assemble_report(grad_f, grad_q, float(here - ref), joint_dot(grad_q, grad_q),
+                            joint_dot(grad_f, grad_q), float(abs(here) + abs(ref)))
 
 
 def kkt_proxy(
@@ -116,22 +107,3 @@ def kkt_proxy(
     inner = step.inner_result
     return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, step.grad_qhat_sq,
                             step.grad_f_dot_qhat, abs(inner.g_before) + abs(inner.g_after))
-
-
-def kkt_attraction(
-    oracle: BilevelOracle,
-    point: JointPoint,
-    alpha: float,
-    tol: float = DEFAULT_ATTRACTION_GRAD_TOL,
-    max_iters: int = DEFAULT_ATTRACTION_MAX_ITERS,
-) -> KktReport:
-    """Stationarity report against the attraction point of (v, theta).
-
-    Feasibility is measured within the basin that inner gradient descent
-    reaches from theta, so on multimodal inner objectives the score reflects
-    the local rather than the global minimum. Raises
-    :class:`NotConvergedError` if inner descent does not reach the
-    attraction point within ``max_iters`` iterations.
-    """
-    target = attraction_point(oracle, point.v, point.theta, alpha, tol, max_iters)
-    return _score_against(oracle, point, target)

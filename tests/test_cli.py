@@ -787,6 +787,18 @@ class TestCliMain:
         assert "gradient check for f" in out
         assert "passed" in out
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_gradcheck_ridge_plug_in_error_falls_with_T(self, capsys, seed):
+        # the exit code is the finite-difference checks' verdict; only the
+        # plug-in table is judged here
+        main(["gradcheck", "ridge", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        table = out.split("plug-in constraint-gradient error vs inner steps:\n")[1]
+        rows = [line.split() for line in table.splitlines()[1:]]
+        assert [int(T) for T, _ in rows] == [1, 2, 4, 8, 16]
+        errors = [float(e) for _, e in rows]
+        assert all(b <= a for a, b in zip(errors, errors[1:]))
+
     def test_gradcheck_unknown_problem(self, capsys):
         assert main(["gradcheck", "nonexistent"]) == 2
         assert capsys.readouterr().err.startswith("configuration error: unknown problem")

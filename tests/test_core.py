@@ -211,6 +211,9 @@ class TestMetadata:
             ProblemMetadata(smoothness_L=-1.0)
         with pytest.raises(ValueError):
             ProblemMetadata(pl_constant_kappa=0.0)
+        for name in ("smoothness_L", "pl_constant_kappa", "bound_M"):
+            with pytest.raises(ValueError):
+                ProblemMetadata(**{name: math.inf})
 
 
 class TestDeclaredInnerOptimum:

@@ -3,9 +3,7 @@ import pytest
 
 from bome import (
     JointPoint,
-    NotConvergedError,
     NumericalError,
-    attraction_point,
     inner_descent,
     minimax_oracle,
 )
@@ -107,26 +105,23 @@ class TestInnerDescent:
 
 
 class TestAttractionPoint:
+    """At long T inner descent stops at the attraction point of its start:
+    the minimum of the basin that gradient descent from theta0 reaches."""
+
     def test_strongly_convex_reaches_minimizer(self, rng):
         oracle = quadratic_pl_oracle()
         v = rng.standard_normal(2)
         target = QUAD_A @ v
         for _ in range(5):
             theta0 = rng.standard_normal(2) * 4.0
-            out = attraction_point(oracle, v, theta0, alpha=0.2, grad_tol=1e-10)
-            assert np.linalg.norm(out - target) < 1e-9
-
-    def test_stationary_start_returned_unchanged(self):
-        oracle = quadratic_pl_oracle()
-        v = np.array([0.3, -0.7])
-        theta_star = QUAD_A @ v
-        out = attraction_point(oracle, v, theta_star, alpha=0.2)
-        np.testing.assert_array_equal(out, theta_star)
+            res = inner_descent(oracle, v, theta0, T=100_000, alpha=0.2)
+            assert res.steps_taken < 100_000
+            assert np.linalg.norm(res.theta_T - target) < 1e-9
 
     def test_double_well_right_basin(self):
         # from 0.5 the descent lands on the minimum at +1, not the one at -1
         oracle = double_well_oracle()
-        out = attraction_point(oracle, np.zeros(1), np.array([0.5]), alpha=0.01)
+        res = inner_descent(oracle, np.zeros(1), np.array([0.5]), T=100_000, alpha=0.01)
         # independent plain loop, run to a tighter tolerance
         t = 0.5
         for _ in range(10**6):
@@ -135,45 +130,22 @@ class TestAttractionPoint:
                 break
             t -= 0.01 * g
         assert abs(t - 1.0) < 1e-9
-        assert abs(out[0] - 1.0) < 1e-6
-
-    def test_budget_exhaustion_returns_marker(self):
-        oracle = quadratic_pl_oracle()
-        with pytest.raises(NotConvergedError) as info:
-            attraction_point(
-                oracle, np.zeros(2), np.array([10.0, 10.0]), alpha=1e-6, max_iters=5
-            )
-        err = info.value
-        assert err.iters == 5
-        assert err.grad_norm > 0.0
-        theta = np.array([10.0, 10.0])
-        for _ in range(5):
-            theta = theta - 1e-6 * oracle.inner_grad(np.zeros(2), theta)
-        np.testing.assert_array_equal(err.last_theta, theta)
+        assert abs(res.theta_T[0] - 1.0) < 1e-6
 
     def test_matches_plain_recursion(self, rng):
         # an independent theta <- theta - alpha * grad g loop, stopped at the
-        # first gradient whose norm is below the tolerance
+        # first gradient whose squared norm is below STATIONARY_GRAD_TOL**2
         oracle = anisotropic_quadratic_oracle()
         v = rng.standard_normal(2)
         theta0 = rng.standard_normal(2) * 3.0
         theta = theta0.copy()
+        steps = 0
         for _ in range(10_000):
             grad = 2.0 * ANISO_SCALES * (theta - QUAD_A @ v)
-            if np.linalg.norm(grad) < 1e-9:
+            if grad.dot(grad) < 1e-28:
                 break
             theta = theta - 0.1 * grad
-        out = attraction_point(oracle, v, theta0, alpha=0.1, grad_tol=1e-9)
-        np.testing.assert_array_equal(out, theta)
-
-    def test_negative_budget_raises(self):
-        with pytest.raises(ValueError):
-            attraction_point(quadratic_pl_oracle(), np.zeros(2), np.ones(2), 0.1, max_iters=-1)
-
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            attraction_point(quadratic_pl_oracle(), np.zeros(2), np.zeros(2), 0.1, grad_tol=0.0)
-
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            attraction_point(quadratic_pl_oracle(), np.zeros(2), np.ones(2), alpha=-0.1)
+            steps += 1
+        res = inner_descent(oracle, v, theta0, T=10_000, alpha=0.1)
+        assert steps < 10_000 and res.steps_taken == steps
+        np.testing.assert_array_equal(res.theta_T, theta)

@@ -10,13 +10,11 @@ from bome import (
     JointGradient,
     JointPoint,
     MissingOracleCapability,
-    NotConvergedError,
     SolverConfig,
     bome_step,
     compute_lambda,
     coreset_oracle,
     hyperclean_oracle,
-    kkt_attraction,
     kkt_exact,
     kkt_proxy,
     lls_oracle,
@@ -275,11 +273,18 @@ class TestKktProxyFromStep:
         assert trace.final_kkt.total == kkt_exact(oracle, point).total
 
 
+def _long_T(alpha: float) -> SolverConfig:
+    return SolverConfig(inner_step_alpha=alpha, inner_iters_T=100_000)
+
+
 class TestKktAttraction:
+    """The attraction score is the proxy at long T: its reference theta^(T)
+    is the minimum of the basin that inner descent reaches from theta."""
+
     def test_unimodal_matches_exact(self, rng):
         oracle = quadratic_pl_oracle()
         p = JointPoint(rng.standard_normal(2), rng.standard_normal(2))
-        att = kkt_attraction(oracle, p, alpha=0.2)
+        att = kkt_proxy(oracle, p, _long_T(0.2))
         exact = kkt_exact(oracle, p)
         assert att.total == pytest.approx(exact.total, rel=1e-6, abs=1e-9)
 
@@ -289,7 +294,7 @@ class TestKktAttraction:
         tilt = 0.3
         oracle = double_well_oracle(tilt=tilt)
         p = JointPoint([0.0], [0.5])
-        report = kkt_attraction(oracle, p, alpha=0.01)
+        report = kkt_proxy(oracle, p, _long_T(0.01))
 
         def g(t):
             return (t * t - 1.0) ** 2 + tilt * t
@@ -305,15 +310,8 @@ class TestKktAttraction:
         oracle = double_well_oracle(tilt=tilt)
         roots = np.roots([4.0, 0.0, -4.0, tilt])
         right_min = np.sort(roots.real[np.abs(roots.imag) < 1e-12])[2]
-        report = kkt_attraction(oracle, JointPoint([0.0], [right_min]), alpha=0.01)
+        report = kkt_proxy(oracle, JointPoint([0.0], [right_min]), _long_T(0.01))
         assert abs(report.feasibility) < 1e-15
-
-    def test_nonconvergence_raises(self):
-        oracle = quadratic_pl_oracle()
-        with pytest.raises(NotConvergedError):
-            kkt_attraction(
-                oracle, JointPoint([1.0, 1.0], [5.0, 5.0]), alpha=1e-9, max_iters=3
-            )
 
 
 class TestMinimaxOptimumScoresZero:
@@ -321,11 +319,10 @@ class TestMinimaxOptimumScoresZero:
     vanishes; the exact variant is deliberately unavailable (the inner
     problem has no minimum for v != 0)."""
 
-    def test_proxy_and_attraction_zero(self):
+    def test_proxy_zero(self):
         oracle = minimax_oracle()
         origin = JointPoint([0.0], [0.0])
         assert kkt_proxy(oracle, origin, SolverConfig()).total == 0.0
-        assert kkt_attraction(oracle, origin, alpha=0.05).total == 0.0
 
     def test_exact_unsupported(self):
         assert minimax_oracle().exact_inner_opt is None
