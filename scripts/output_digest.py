@@ -1,13 +1,16 @@
 """Digest what the benchmark workloads write, so that two source trees can be
 compared for identical outputs with one ``diff``.
 
-    python scripts/output_digest.py SRC_DIR [--workload W ...] [--seed S ...]
+    python scripts/output_digest.py SRC_DIR [--workload W ...] [--problem P ...]
+                                            [--seed S ...]
 
-For each workload of ``perfbench/workloads.py`` (all three by default) and
-each seed (0 and 7 by default), the workload's config is made with the
-``bome`` package in ``SRC_DIR`` and run as ``python -m bome`` with
-``PYTHONPATH=SRC_DIR`` in a temporary directory. One line is printed per
-workload and seed: a sha256 over the config, the exit code, stdout and
+For each workload of ``perfbench/workloads.py`` (all three when neither
+``--workload`` nor ``--problem`` is given) and each seed (0 and 7 by
+default), the workload's config is made with the ``bome`` package in
+``SRC_DIR`` and run as ``python -m bome`` with ``PYTHONPATH=SRC_DIR`` in a
+temporary directory. Each ``--problem`` is run the same way, as ``bome run``
+on the bare document ``{"problem": P, "solver": {"seed": S}}``. One line is
+printed per input and seed: a sha256 over the config, the exit code, stdout and
 stderr (with the temporary directory masked), every trace CSV without its
 ``wall_us`` column, and every summary without ``total_wall_us``. The config
 is hashed because hyper-cleaning's pretrained start is computed by the tree.
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 REPO = Path(__file__).resolve().parent.parent
 MASK = "<tmp>"
@@ -47,6 +51,12 @@ def _wall_free_summary(text: str) -> str:
     for entry in entries:
         entry.pop("total_wall_us")
     return json.dumps(entries)
+
+
+def _bare(problem: str):
+    """A workload that runs the document naming only ``problem`` and the seed."""
+    return SimpleNamespace(
+        command="run", make_config=lambda seed, tmp: {"problem": problem, "solver": {"seed": seed}})
 
 
 def digest(src: Path, workload, seed: int) -> str:
@@ -74,7 +84,10 @@ def digest(src: Path, workload, seed: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="a source tree's src directory")
-    parser.add_argument("--workload", action="append", help="default: every workload")
+    parser.add_argument("--workload", action="append",
+                        help="default: every workload, unless --problem is given")
+    parser.add_argument("--problem", action="append", default=[],
+                        help="a built-in problem, run from its bare document")
     parser.add_argument("--seed", action="append", type=int, help="default: 0 and 7")
     args = parser.parse_args(argv)
     src = args.src.resolve()
@@ -82,14 +95,20 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
     import workloads
 
-    names = args.workload or sorted(workloads.WORKLOADS)
+    from bome.cli import PROBLEMS
+
+    names = args.workload or ([] if args.problem else sorted(workloads.WORKLOADS))
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    for name in names:
+    unknown = sorted(set(args.problem) - set(PROBLEMS))
+    if unknown:
+        parser.error(f"unknown problem(s): {', '.join(unknown)}")
+    inputs = [(name, workloads.WORKLOADS[name]) for name in names]
+    inputs += [(f"problem={name}", _bare(name)) for name in args.problem]
+    for label, workload in inputs:
         for seed in args.seed or SEEDS:
-            print(f"{digest(src, workloads.WORKLOADS[name], seed)}  {name} seed={seed}",
-                  flush=True)
+            print(f"{digest(src, workload, seed)}  {label} seed={seed}", flush=True)
     return 0
 
 

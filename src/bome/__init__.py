@@ -18,14 +18,14 @@ from .core import (
     StepRecords,
     validate_config,
 )
-from .inner_loop import InnerResult, inner_descent
 from .barrier_step import (
     BarrierSolution,
+    InnerResult,
     bome_step,
     compute_lambda,
     compute_phi,
     grad_q_hat,
-    q_hat_value,
+    inner_descent,
 )
 from .metrics import (
     KktReport,

@@ -1,10 +1,12 @@
 """One outer step of the dynamic-barrier bilevel update.
 
 Each step (1) warm-starts T inner gradient-descent steps from the current
-theta to get theta^(T), (2) forms the plug-in constraint estimate
-q_hat = g(v, theta) - g(v, theta^(T)) and its stop-gradient derivative, and
-(3) moves (v, theta) along delta = grad f + lambda * grad q_hat, where the
-closed-form multiplier lambda is the smallest nonnegative value making
+theta to get theta^(T) (:func:`inner_descent`), (2) forms the plug-in
+constraint q_hat = g(v, theta) - g(v, theta^(T)), its stop-gradient
+derivative and their reductions (:func:`_constraint`, which the exact
+stationarity score shares with a closed-form theta* in place of theta^(T)),
+and (3) moves (v, theta) along delta = grad f + lambda * grad q_hat, where
+the closed-form multiplier lambda is the smallest nonnegative value making
 <grad q_hat, delta> >= phi for the chosen barrier phi.
 """
 
@@ -21,16 +23,72 @@ from .core import (
     BilevelOracle,
     JointGradient,
     JointPoint,
+    NumericalError,
     SolverConfig,
     joint_axpy,
     joint_dot,
 )
-from .inner_loop import InnerResult, inner_descent
+
+# Gradient norms below this are treated as exactly stationary; the inner loop
+# exits early instead of burning oracle calls on zero updates.
+STATIONARY_GRAD_TOL = 1e-14
 
 # Squared gradient norms at or below this floor are treated as exactly zero;
 # the multiplier is 0 there (a vanishing constraint gradient means the
 # constraint estimate itself vanishes, so no correction is needed).
 ZERO_GRAD_SQ_FLOOR = 1e-24
+
+
+@dataclass
+class InnerResult:
+    """Outcome of a T-step inner descent at fixed v."""
+
+    theta_T: np.ndarray
+    g_before: float
+    g_after: float
+    steps_taken: int
+
+
+def inner_descent(
+    oracle: BilevelOracle,
+    v: np.ndarray,
+    theta0: np.ndarray,
+    T: int,
+    alpha: float,
+) -> InnerResult:
+    """Run T plain gradient-descent steps on g(v, .) starting from theta0.
+
+    The recursion is theta^(t+1) = theta^(t) - alpha * grad_theta g(v, theta^(t))
+    with v held fixed, the gradient from ``grad_g_theta``, or from the theta
+    block of ``grad_g`` when the oracle has none. Exits early once the
+    gradient norm falls below :data:`STATIONARY_GRAD_TOL`; ``steps_taken``
+    counts the steps applied. A gradient raises :class:`NumericalError` only
+    when an entry is not finite: finite entries beyond ~1e154 overflow its
+    sum of squares and are stepped on.
+    """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta0, dtype=float).copy()
+    g_before = float(oracle.eval_g(JointPoint._trusted(v, theta)))
+    sq_tol = STATIONARY_GRAD_TOL * STATIONARY_GRAD_TOL
+    grad_theta_g = oracle.grad_g_theta or (
+        lambda v, theta: oracle.grad_g(JointPoint(v, theta)).dtheta)
+    steps = 0
+    for _ in range(T):
+        grad = grad_theta_g(v, theta)
+        sq = grad.dot(grad)
+        if not sq_tol <= sq < math.inf:
+            if sq < sq_tol:
+                break
+            if not np.isfinite(grad).all():
+                raise NumericalError("non-finite inner gradient during inner descent")
+        theta = theta - alpha * grad
+        steps += 1
+    g_after = float(oracle.eval_g(JointPoint._trusted(v, theta))) if steps > 0 else g_before
+    return InnerResult(theta_T=theta, g_before=g_before, g_after=g_after, steps_taken=steps)
 
 
 @dataclass
@@ -41,10 +99,11 @@ class BarrierSolution:
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
     holds for it whenever grad_qhat is nonzero. ``velocity`` is the direction
     the step applied: the heavy-ball velocity beta * velocity + delta under
-    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat``, ``q_hat`` and
+    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat``, ``q_hat``,
     the reductions ``grad_qhat_sq`` = ||grad_qhat||^2 and ``grad_f_dot_qhat``
-    = <grad_f, grad_qhat> belong to the point the step was taken from, which
-    is all a proxy stationarity score there needs.
+    = <grad_f, grad_qhat>, and ``g_scale`` = |g(v, theta)| + |g(v, theta^(T))|
+    belong to the point the step was taken from: they are
+    :func:`_constraint`'s values there, all a proxy stationarity score needs.
     """
 
     lam: float
@@ -58,23 +117,7 @@ class BarrierSolution:
     velocity: JointGradient
     grad_qhat_sq: float
     grad_f_dot_qhat: float
-
-
-def q_hat_value(oracle: BilevelOracle, v, theta, theta_T) -> float:
-    """Plug-in constraint estimate g(v, theta) - g(v, theta_T).
-
-    Nonnegative whenever the inner loop descended monotonically; tiny negative
-    round-off values are reported as-is (only the barrier clamps them).
-    """
-    here, ref = _g_pair(oracle, v, theta, theta_T)
-    return float(here - ref)
-
-
-def _g_pair(oracle: BilevelOracle, v, theta, theta_T) -> tuple:
-    # g(v, theta) and g(v, theta_T), the two values q_hat subtracts
-    v = np.asarray(v, dtype=float)
-    here = oracle.eval_g(JointPoint._trusted(v, theta))
-    return here, oracle.eval_g(JointPoint._trusted(v, theta_T))
+    g_scale: float
 
 
 def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
@@ -89,6 +132,18 @@ def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
     g_here = oracle.grad_g(JointPoint._trusted(v, theta))
     g_at_T = oracle.grad_g(JointPoint._trusted(v, theta_T))
     return JointGradient._trusted(g_here.dv - g_at_T.dv, g_here.dtheta)
+
+
+def _constraint(oracle: BilevelOracle, point: JointPoint, theta_ref, here: float, ref: float):
+    """The constraint q = here - ref at ``point``, for ``here`` = g(v, theta)
+    and ``ref`` = g(v, theta_ref): (grad f, grad q, q, ||grad q||^2,
+    <grad f, grad q>, g_scale), where grad q is the stop-gradient
+    :func:`grad_q_hat`, formed before grad f, and g_scale = |here| + |ref|
+    is the size of the two values q subtracts."""
+    gq = grad_q_hat(oracle, point.v, point.theta, theta_ref)
+    gf = oracle.grad_f(point)
+    return (gf, gq, here - ref, joint_dot(gq, gq), joint_dot(gf, gq),
+            abs(here) + abs(ref))
 
 
 def compute_phi(kind: BarrierKind, eta: float, q_hat: float, grad_qhat_norm: float) -> float:
@@ -140,16 +195,10 @@ def bome_step(
     beta * velocity + delta and reports it as ``solution.velocity`` for the
     next step; the reported ``delta`` is always the raw direction.
     """
-    inner = inner_descent(
-        oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha
-    )
-    # q_hat = g(v, theta) - g(v, theta_T); both evaluations were already done
-    # by the warm-started inner loop.
-    q_hat = inner.g_before - inner.g_after
-    gq = grad_q_hat(oracle, point.v, point.theta, inner.theta_T)
-    gf = oracle.grad_f(point)
-    sq = joint_dot(gq, gq)
-    gfq = joint_dot(gf, gq)
+    inner = inner_descent(oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha)
+    # both g values of q_hat were already evaluated by the warm-started inner loop
+    gf, gq, q_hat, sq, gfq, g_scale = _constraint(
+        oracle, point, inner.theta_T, inner.g_before, inner.g_after)
     gq_norm = math.sqrt(sq)  # gq.norm(), from the sum already formed
     phi = compute_phi(cfg.barrier_kind, cfg.eta, q_hat, gq_norm)
     lam = _barrier_multiplier(sq, gfq, phi)
@@ -174,5 +223,6 @@ def bome_step(
         velocity=velocity,
         grad_qhat_sq=sq,
         grad_f_dot_qhat=gfq,
+        g_scale=g_scale,
     )
     return new_point, solution

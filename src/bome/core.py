@@ -180,7 +180,8 @@ class BilevelOracle:
             partial v-gradient of g there is the value-function gradient, for
             every minimizer.
         grad_g_theta: (v, theta) -> grad_theta g, a fast path for the inner
-            loop that skips assembling the full joint gradient.
+            loop that skips assembling the full joint gradient. Without it,
+            inner descent takes the theta block of ``grad_g``.
     """
 
     eval_f: Callable[[JointPoint], float]
@@ -191,12 +192,6 @@ class BilevelOracle:
     grad_g_theta: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     metadata: Optional[ProblemMetadata] = None
     name: str = ""
-
-    def inner_grad(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """grad_theta g(v, theta), using the fast path when available."""
-        if self.grad_g_theta is not None:
-            return self.grad_g_theta(v, theta)
-        return self.grad_g(JointPoint(v, theta)).dtheta
 
 
 class BarrierKind(enum.Enum):

@@ -3,9 +3,10 @@
 The score is min_{lambda >= 0} ||grad f + lambda * grad q||^2 + q, the sum of
 a local-improvement term (how far grad f is from being blockable by the
 constraint gradient) and a feasibility term (the inner suboptimality q).
-The two variants take q = g(v, theta) - g(v, theta_ref) and its
-stop-gradient derivative (:func:`q_hat_value`, :func:`grad_q_hat`) against
-different reference inner points theta_ref:
+The two variants take q = g(v, theta) - g(v, theta_ref), its stop-gradient
+derivative and their reductions from the one constraint function of the BOME
+step (``barrier_step._constraint``), against different reference inner
+points theta_ref:
 
 * exact -- a closed-form inner minimizer theta*(v);
 * proxy -- theta^(T), the same T-step plug-in estimate the solver uses. On a
@@ -29,10 +30,8 @@ from .core import (
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import (
-    BarrierSolution, _barrier_multiplier, _g_pair, bome_step, grad_q_hat,
-)
-from .inner_loop import inner_descent  # unused here; perfbench/tracing.py patches it
+from .barrier_step import BarrierSolution, _barrier_multiplier, _constraint, bome_step
+from .barrier_step import inner_descent  # unused here; perfbench/tracing.py patches it
 
 
 @dataclass
@@ -80,11 +79,9 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     if oracle.exact_inner_opt is None:
         raise MissingOracleCapability("exact stationarity needs exact_inner_opt")
     theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
-    here, ref = _g_pair(oracle, point.v, point.theta, theta_star)
-    grad_q = grad_q_hat(oracle, point.v, point.theta, theta_star)
-    grad_f = oracle.grad_f(point)
-    return _assemble_report(grad_f, grad_q, float(here - ref), joint_dot(grad_q, grad_q),
-                            joint_dot(grad_f, grad_q), float(abs(here) + abs(ref)))
+    here = float(oracle.eval_g(JointPoint._trusted(point.v, point.theta)))
+    ref = float(oracle.eval_g(JointPoint._trusted(point.v, theta_star)))
+    return _assemble_report(*_constraint(oracle, point, theta_star, here, ref))
 
 
 def kkt_proxy(
@@ -95,8 +92,8 @@ def kkt_proxy(
 ) -> KktReport:
     """Stationarity report from the plug-in estimate.
 
-    The report is assembled from the grad f, grad q_hat, q_hat and reductions
-    of the :func:`bome_step` taken at ``point`` with ``cfg``, so the monitored
+    The report is assembled from the constraint values of the
+    :func:`bome_step` taken at ``point`` with ``cfg``, so the monitored
     quantity is what the solver sees there. Given that ``step``, makes no
     oracle call. Without it, takes the BOME step at ``point``; that step
     checks its update too, so an update that overflows raises
@@ -104,6 +101,5 @@ def kkt_proxy(
     """
     if step is None:
         step = bome_step(oracle, point, cfg)[1]
-    inner = step.inner_result
     return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, step.grad_qhat_sq,
-                            step.grad_f_dot_qhat, abs(inner.g_before) + abs(inner.g_after))
+                            step.grad_f_dot_qhat, step.g_scale)

@@ -787,6 +787,13 @@ class TestCliMain:
         assert "gradient check for f" in out
         assert "passed" in out
 
+    @pytest.mark.parametrize("problem, seed", [("hyperclean", 0), ("ridge", 1)])
+    def test_gradcheck_passes_at_default_points(self, capsys, problem, seed):
+        # each has a small gradient entry of a large g, where the difference
+        # quotient's round-off alone exceeds the tolerance
+        assert main(["gradcheck", problem, "--seed", str(seed)]) == 0
+        assert "passed                  no" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_gradcheck_ridge_plug_in_error_falls_with_T(self, capsys, seed):
         # the exit code is the finite-difference checks' verdict; only the

@@ -234,5 +234,5 @@ class TestDeclaredInnerOptimum:
         for _ in range(100):
             v = rng.standard_normal(m) * 0.5
             theta_star = np.asarray(oracle.exact_inner_opt(v), dtype=float)
-            grad = oracle.inner_grad(v, theta_star)
+            grad = oracle.grad_g_theta(v, theta_star)
             assert np.linalg.norm(grad) < 1e-8

@@ -9,6 +9,7 @@ from bome import (
     BarrierKind,
     JointGradient,
     JointPoint,
+    KktReport,
     MissingOracleCapability,
     SolverConfig,
     bome_step,
@@ -271,6 +272,30 @@ class TestKktProxyFromStep:
         assert np.array_equal(point.v, trace.final_point.v)
         assert np.array_equal(point.theta, trace.final_point.theta)
         assert trace.final_kkt.total == kkt_exact(oracle, point).total
+
+
+class TestOneConstraint:
+    """Both scores form their report from the constraint function the step
+    uses, so the exact score against the step's own inner end point as
+    theta* is the proxy score, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("case", [
+        _coreset_case,
+        lambda: _minimax_case(BarrierKind.GRAD_NORM_SQ, 0.0),
+        _hyperclean_case,
+    ], ids=["coreset", "minimax", "hyperclean"])
+    def test_exact_at_theta_T_is_the_proxy(self, case):
+        oracle, point, cfg = case()
+        for _ in range(3):
+            new_point, step = bome_step(oracle, point, cfg)
+            theta_T = step.inner_result.theta_T
+            # minimax and hyper-cleaning gain the capability here
+            pinned = dataclasses.replace(oracle, exact_inner_opt=lambda v: theta_T)
+            exact = kkt_exact(pinned, point)
+            proxy = kkt_proxy(oracle, point, cfg, step=step)
+            assert [getattr(exact, f.name).hex() for f in dataclasses.fields(KktReport)] == \
+                [getattr(proxy, f.name).hex() for f in dataclasses.fields(KktReport)]
+            point = new_point
 
 
 def _long_T(alpha: float) -> SolverConfig:

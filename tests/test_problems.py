@@ -580,7 +580,7 @@ class TestRidge:
         for _ in range(10):
             v = 0.5 * rng.standard_normal(5)
             theta_star = oracle.exact_inner_opt(v)
-            assert np.linalg.norm(oracle.inner_grad(v, theta_star)) < 1e-8
+            assert np.linalg.norm(oracle.grad_g_theta(v, theta_star)) < 1e-8
 
     def test_gradcheck(self, rng):
         # theta coordinates bounded away from zero: the penalty gradient

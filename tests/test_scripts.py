@@ -59,14 +59,16 @@ def test_readme_quick_start_runs_to_its_tolerance():
 
 
 def test_output_digest_repeats_on_one_tree():
-    # one invocation runs the workload twice, each in its own bome process
+    # one invocation runs the workload and the bare lls document twice each,
+    # each run in its own bome process
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "output_digest.py"), str(REPO / "src"),
-         "--workload", "minimax-curve", "--seed", "0", "--seed", "0"],
+         "--workload", "minimax-curve", "--problem", "lls", "--seed", "0", "--seed", "0"],
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2 and lines[0] == lines[1]
+    assert len(lines) == 4 and lines[0] == lines[1] and lines[2] == lines[3]
     assert re.fullmatch(r"[0-9a-f]{64}  minimax-curve seed=0", lines[0])
+    assert re.fullmatch(r"[0-9a-f]{64}  problem=lls seed=0", lines[2])
