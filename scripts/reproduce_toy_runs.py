@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bome import JointPoint, Method, SolverConfig, lls_oracle, minimax_oracle, run
+from bome import Method, SolverConfig, run
 from bome.cli import ExperimentConfig, build_experiment, emit_summary_json, emit_trace_csv
 
 
@@ -62,7 +62,7 @@ def main() -> int:
         cfg = mm_cfg if method is not Method.OPTIMISTIC_GD else SolverConfig(
             outer_step_xi=0.05, max_outer_iters_K=6000, kkt_eval_every=200
         )
-        trace = run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, method)
+        trace = run(*build_experiment(ExperimentConfig("minimax")), cfg, method)
         emit_trace_csv(trace, outdir / f"minimax_{method.value}.csv")
         traces.append(trace)
         fp = trace.final_point
@@ -71,13 +71,12 @@ def main() -> int:
     lls_cfg = SolverConfig(
         outer_step_xi=0.5, inner_iters_T=10, max_outer_iters_K=2000, kkt_eval_every=50
     )
-    trace = run(lls_oracle(), JointPoint([0.0], [0.0, 3.0]), lls_cfg)
+    lls, lls_start = build_experiment(ExperimentConfig("lls"))
+    trace = run(lls, lls_start, lls_cfg)
     emit_trace_csv(trace, outdir / "lls_bome.csv")
     traces.append(trace)
     fp = trace.final_point
-    print(
-        f"lls: f={lls_oracle().eval_f(fp):.2e}, theta={fp.theta}, v={fp.v}"
-    )
+    print(f"lls: f={lls.eval_f(fp):.2e}, theta={fp.theta}, v={fp.v}")
 
     emit_summary_json(traces, outdir / "summary.json")
     print(f"wrote {outdir}/summary.json")

@@ -3,11 +3,13 @@
 Each step (1) warm-starts T inner gradient-descent steps from the current
 theta to get theta^(T) (:func:`inner_descent`), (2) forms the plug-in
 constraint q_hat = g(v, theta) - g(v, theta^(T)), its stop-gradient
-derivative and their reductions (:func:`_constraint`, which the exact
-stationarity score shares with a closed-form theta* in place of theta^(T)),
-and (3) moves (v, theta) along delta = grad f + lambda * grad q_hat, where
-the closed-form multiplier lambda is the smallest nonnegative value making
-<grad q_hat, delta> >= phi for the chosen barrier phi.
+derivative and their reductions as one :class:`Constraint` record
+(:func:`_constraint`, which the exact stationarity score shares with a
+closed-form theta* in place of theta^(T)), and (3) moves (v, theta) along
+delta = grad f + lambda * grad q_hat, where the closed-form multiplier lambda
+is the smallest nonnegative value making <grad q_hat, delta> >= phi for the
+chosen barrier phi. The step's :class:`BarrierSolution` is that record
+extended by lambda, phi and delta.
 """
 
 from __future__ import annotations
@@ -92,32 +94,41 @@ def inner_descent(
 
 
 @dataclass
-class BarrierSolution:
-    """The multiplier, barrier, and combined direction of one outer step.
+class Constraint:
+    """The constraint q = g(v, theta) - g(v, theta_ref) at one point, as
+    :func:`_constraint` forms it: ``grad_f``, the stop-gradient derivative
+    ``grad_qhat`` of q, ``q_hat`` = q, the reductions ``grad_qhat_sq`` =
+    ||grad_qhat||^2 and ``grad_f_dot_qhat`` = <grad_f, grad_qhat>, and
+    ``g_scale`` = |g(v, theta)| + |g(v, theta_ref)|, the size of the two
+    values q subtracts. It is all a stationarity score needs."""
+
+    grad_f: JointGradient
+    grad_qhat: JointGradient
+    q_hat: float
+    grad_qhat_sq: float
+    grad_f_dot_qhat: float
+    g_scale: float
+
+
+@dataclass
+class BarrierSolution(Constraint):
+    """One outer step: the :class:`Constraint` at the point it was taken
+    from, against theta_ref = theta^(T), with the multiplier, barrier and
+    direction built from it.
 
     ``delta`` is the raw direction grad_f + lambda * grad_qhat before any
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
     holds for it whenever grad_qhat is nonzero. ``velocity`` is the direction
     the step applied: the heavy-ball velocity beta * velocity + delta under
-    momentum, otherwise delta itself. ``grad_f``, ``grad_qhat``, ``q_hat``,
-    the reductions ``grad_qhat_sq`` = ||grad_qhat||^2 and ``grad_f_dot_qhat``
-    = <grad_f, grad_qhat>, and ``g_scale`` = |g(v, theta)| + |g(v, theta^(T))|
-    belong to the point the step was taken from: they are
-    :func:`_constraint`'s values there, all a proxy stationarity score needs.
+    momentum, otherwise delta itself.
     """
 
     lam: float
     phi: float
     delta: JointGradient
-    grad_f: JointGradient
-    grad_qhat: JointGradient
-    q_hat: float
-    inner_result: InnerResult
-    grad_qhat_norm: float
     velocity: JointGradient
-    grad_qhat_sq: float
-    grad_f_dot_qhat: float
-    g_scale: float
+    grad_qhat_norm: float
+    inner_result: InnerResult
 
 
 def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
@@ -134,16 +145,15 @@ def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
     return JointGradient._trusted(g_here.dv - g_at_T.dv, g_here.dtheta)
 
 
-def _constraint(oracle: BilevelOracle, point: JointPoint, theta_ref, here: float, ref: float):
-    """The constraint q = here - ref at ``point``, for ``here`` = g(v, theta)
-    and ``ref`` = g(v, theta_ref): (grad f, grad q, q, ||grad q||^2,
-    <grad f, grad q>, g_scale), where grad q is the stop-gradient
-    :func:`grad_q_hat`, formed before grad f, and g_scale = |here| + |ref|
-    is the size of the two values q subtracts."""
+def _constraint(oracle: BilevelOracle, point: JointPoint, theta_ref, here: float,
+                ref: float) -> Constraint:
+    """The :class:`Constraint` q = here - ref at ``point``, for ``here`` =
+    g(v, theta) and ``ref`` = g(v, theta_ref); grad q is the stop-gradient
+    :func:`grad_q_hat`, formed before grad f."""
     gq = grad_q_hat(oracle, point.v, point.theta, theta_ref)
     gf = oracle.grad_f(point)
-    return (gf, gq, here - ref, joint_dot(gq, gq), joint_dot(gf, gq),
-            abs(here) + abs(ref))
+    return Constraint(gf, gq, here - ref, joint_dot(gq, gq), joint_dot(gf, gq),
+                      abs(here) + abs(ref))
 
 
 def compute_phi(kind: BarrierKind, eta: float, q_hat: float, grad_qhat_norm: float) -> float:
@@ -197,12 +207,11 @@ def bome_step(
     """
     inner = inner_descent(oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha)
     # both g values of q_hat were already evaluated by the warm-started inner loop
-    gf, gq, q_hat, sq, gfq, g_scale = _constraint(
-        oracle, point, inner.theta_T, inner.g_before, inner.g_after)
-    gq_norm = math.sqrt(sq)  # gq.norm(), from the sum already formed
-    phi = compute_phi(cfg.barrier_kind, cfg.eta, q_hat, gq_norm)
-    lam = _barrier_multiplier(sq, gfq, phi)
-    delta = joint_axpy(gf, lam, gq)
+    c = _constraint(oracle, point, inner.theta_T, inner.g_before, inner.g_after)
+    gq_norm = math.sqrt(c.grad_qhat_sq)  # grad_qhat.norm(), from the sum already formed
+    phi = compute_phi(cfg.barrier_kind, cfg.eta, c.q_hat, gq_norm)
+    lam = _barrier_multiplier(c.grad_qhat_sq, c.grad_f_dot_qhat, phi)
+    delta = joint_axpy(c.grad_f, lam, c.grad_qhat)
 
     if cfg.momentum_beta > 0.0 and velocity is not None:
         velocity = joint_axpy(delta, cfg.momentum_beta, velocity)
@@ -211,18 +220,6 @@ def bome_step(
     new_point = JointPoint._checked(
         point.v - cfg.xi_v * velocity.dv, point.theta - cfg.xi_theta * velocity.dtheta
     )
-    solution = BarrierSolution(
-        lam=lam,
-        phi=phi,
-        delta=delta,
-        grad_f=gf,
-        grad_qhat=gq,
-        q_hat=q_hat,
-        inner_result=inner,
-        grad_qhat_norm=gq_norm,
-        velocity=velocity,
-        grad_qhat_sq=sq,
-        grad_f_dot_qhat=gfq,
-        g_scale=g_scale,
-    )
-    return new_point, solution
+    return new_point, BarrierSolution(**vars(c), lam=lam, phi=phi, delta=delta,
+                                      velocity=velocity, grad_qhat_norm=gq_norm,
+                                      inner_result=inner)

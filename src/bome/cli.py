@@ -444,7 +444,7 @@ def _cmd_run_or_sweep(args) -> int:
     # One cell at a time: a cell that raises leaves the earlier CSVs written.
     traces = []
     for sub_cfg in (expand_sweep(cfg) if is_sweep else [cfg]):
-        trace = run(*build_experiment(sub_cfg), sub_cfg.solver, Method(sub_cfg.method))
+        trace = run(*build_experiment(sub_cfg), sub_cfg.solver, sub_cfg.method)
         traces.append(trace)
         csv_path = _resolve_output(_output_name(sub_cfg))
         emit_trace_csv(trace, csv_path)

@@ -3,10 +3,10 @@
 The score is min_{lambda >= 0} ||grad f + lambda * grad q||^2 + q, the sum of
 a local-improvement term (how far grad f is from being blockable by the
 constraint gradient) and a feasibility term (the inner suboptimality q).
-The two variants take q = g(v, theta) - g(v, theta_ref), its stop-gradient
-derivative and their reductions from the one constraint function of the BOME
-step (``barrier_step._constraint``), against different reference inner
-points theta_ref:
+Both variants assemble it from one ``barrier_step.Constraint`` record:
+q = g(v, theta) - g(v, theta_ref), its stop-gradient derivative and their
+reductions, formed by the BOME step's constraint function against different
+reference inner points theta_ref:
 
 * exact -- a closed-form inner minimizer theta*(v);
 * proxy -- theta^(T), the same T-step plug-in estimate the solver uses. On a
@@ -23,14 +23,13 @@ import numpy as np
 
 from .core import (
     BilevelOracle,
-    JointGradient,
     JointPoint,
     MissingOracleCapability,
     SolverConfig,
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import BarrierSolution, _barrier_multiplier, _constraint, bome_step
+from .barrier_step import BarrierSolution, Constraint, _barrier_multiplier, _constraint, bome_step
 from .barrier_step import inner_descent  # unused here; perfbench/tracing.py patches it
 
 
@@ -50,21 +49,18 @@ class KktReport:
     g_scale: float
 
 
-def _assemble_report(
-    grad_f: JointGradient, grad_q: JointGradient, q: float,
-    grad_q_sq: float, grad_f_dot_q: float, g_scale: float,
-) -> KktReport:
+def _assemble_report(c: Constraint) -> KktReport:
     # the multiplier minimizing ||grad_f + lambda * grad_q||^2 over lambda >= 0
     # is the barrier multiplier with phi = 0, from ||grad_q||^2 and <grad_f, grad_q>
-    lam = _barrier_multiplier(grad_q_sq, grad_f_dot_q, 0.0)
-    residual = joint_axpy(grad_f, lam, grad_q)
+    lam = _barrier_multiplier(c.grad_qhat_sq, c.grad_f_dot_qhat, 0.0)
+    residual = joint_axpy(c.grad_f, lam, c.grad_qhat)
     local = joint_dot(residual, residual)
     return KktReport(
         local_improvement=local,
-        feasibility=q,
-        total=local + q,
+        feasibility=c.q_hat,
+        total=local + c.q_hat,
         lambda_star=lam,
-        g_scale=g_scale,
+        g_scale=c.g_scale,
     )
 
 
@@ -81,7 +77,7 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
     here = float(oracle.eval_g(JointPoint._trusted(point.v, point.theta)))
     ref = float(oracle.eval_g(JointPoint._trusted(point.v, theta_star)))
-    return _assemble_report(*_constraint(oracle, point, theta_star, here, ref))
+    return _assemble_report(_constraint(oracle, point, theta_star, here, ref))
 
 
 def kkt_proxy(
@@ -99,7 +95,4 @@ def kkt_proxy(
     checks its update too, so an update that overflows raises
     :class:`NumericalError`.
     """
-    if step is None:
-        step = bome_step(oracle, point, cfg)[1]
-    return _assemble_report(step.grad_f, step.grad_qhat, step.q_hat, step.grad_qhat_sq,
-                            step.grad_f_dot_qhat, step.g_scale)
+    return _assemble_report(step or bome_step(oracle, point, cfg)[1])

@@ -114,10 +114,10 @@ def run(
     oracle: BilevelOracle,
     start: JointPoint,
     cfg: SolverConfig,
-    method: Method = Method.BOME,
+    method: Method | str = Method.BOME,
 ) -> Trace:
-    """Execute ``method`` from ``start`` for up to ``cfg.max_outer_iters_K``
-    iterations.
+    """Execute ``method`` (a :class:`Method` or its value) from ``start`` for
+    up to ``cfg.max_outer_iters_K`` iterations.
 
     Stationarity is scored every ``cfg.kkt_eval_every`` iterations and on
     the last record, by the one variant chosen here for the whole run: exact
@@ -132,8 +132,7 @@ def run(
     warnings = validate_config(cfg, oracle.metadata)
     # the run and its trace's snapshot read a copy the caller cannot edit
     cfg = replace(cfg)
-    if isinstance(method, str):
-        method = Method(method)
+    method = Method(method)
     point = start.copy()
     records = StepRecords()
     # bome_step ignores the velocity when momentum is off

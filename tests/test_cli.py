@@ -296,6 +296,15 @@ class TestEmitTraceCsv:
         with pytest.raises(ValueError, match=r"t\.csv, line 3: expected 9 fields"):
             read_trace_csv(path)
 
+    def test_wrong_header_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        emit_trace_csv(small_minimax_trace(K=3), path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("f", "g", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"unexpected trace header in .*t\.csv"):
+            read_trace_csv(path)
+
     @pytest.mark.parametrize("column, index, cell", [
         ("f", 1, "abc"),
         ("k", 0, ""),
@@ -621,6 +630,8 @@ class TestCliMain:
         ("run", {"problem": "hyperclean", "problem_params": {"corrupt_frac": False}}),
         ("run", {"problem": "hyperclean", "problem_params": {"seed": True}}),
         ("run", {"problem": "ridge", "problem_params": {"noise": True}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"corrupt_frac": 1}}),
+        ("run", {"problem": "hyperclean", "problem_params": {"m_tr": 1}}),
     ], ids=["T", "iters", "xi", "momentum", "xi-with-xi_v", "xi_theta", "m_tr", "ridge_c",
             "ridge_c-nan", "start-v", "start-nan", "x0", "output_path", "sweep-seed",
             "sweep-negative-seed", "hyperclean-p0", "ridge-p0", "ridge-mval0", "barrier",
@@ -629,7 +640,8 @@ class TestCliMain:
             "sweep-unknown-key", "sweep-scalar", "sweep-empty-list", "kkt_every-0",
             "stop_kkt_tol-0", "problem-list", "problem-object", "x0-2d", "x0-inf",
             "vertices-inf", "ridge_c-inf", "start-bool", "x0-bool", "vertices-bool",
-            "ridge_c-bool", "corrupt_frac-bool", "seed-bool", "noise-bool"])
+            "ridge_c-bool", "corrupt_frac-bool", "seed-bool", "noise-bool",
+            "corrupt_frac-1", "m_tr-1"])
     def test_malformed_value_is_configuration_error(
         self, tmp_path, monkeypatch, capsys, command, doc
     ):
@@ -736,6 +748,10 @@ class TestCliMain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("cannot read config")
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error")
 
     def test_run_rejects_sweep_config(self, tmp_path):
         cfg = self.write_config(

@@ -31,6 +31,12 @@ class TestCheckGradient:
         )
         assert report.passed and report.max_rel_error == 0.0
 
+    def test_worst_coordinate_is_first_checked_when_no_error(self):
+        report = check_gradient(
+            lambda x: 3.5, lambda x: np.zeros_like(x), [np.ones(3)], coords=[1, 2]
+        )
+        assert report.max_rel_error == 0.0 and report.worst_coordinate == 1
+
     def test_wrong_gradient_fails_and_locates_coordinate(self, rng):
         def grad(x):
             g = 2.0 * x
@@ -122,3 +128,17 @@ class TestPlugInEstimator:
         pts = [JointPoint(v, oracle.exact_inner_opt(v))]
         errors = check_plug_in_estimator(oracle, pts, [1, 5, 50], alpha=1e-3)
         assert all(err == 0.0 for err in errors.values())
+
+    def test_exact_side_formed_once_per_point(self, rng):
+        oracle = ridge_oracle(make_synthetic_ridge(seed=0))
+        calls = []
+
+        def exact_inner_opt(v):
+            calls.append(v)
+            return oracle.exact_inner_opt(v)
+
+        counted = dataclasses.replace(oracle, exact_inner_opt=exact_inner_opt)
+        pts = [JointPoint(0.3 * rng.standard_normal(5), rng.standard_normal(5))
+               for _ in range(3)]
+        errors = check_plug_in_estimator(counted, pts, [1, 2, 4], alpha=1e-2)
+        assert len(calls) == len(pts) and len(errors) == 3

@@ -204,6 +204,11 @@ class TestRun:
         trace = run(oracle, JointPoint([1.0], [1.0]), cfg, "gda")
         assert trace.method is Method.NAIVE_GDA
 
+    def test_unknown_method_name_raises(self):
+        cfg = SolverConfig(outer_step_xi=0.05, max_outer_iters_K=3)
+        with pytest.raises(ValueError, match="not a valid Method"):
+            run(minimax_oracle(), JointPoint([1.0], [1.0]), cfg, "bogus")
+
     def test_config_snapshot_is_a_copy(self):
         # editing the caller's config after the run changes neither the
         # snapshot nor the summary's config
