@@ -1,19 +1,20 @@
-"""Digest what the benchmark workloads write, so that two source trees can be
-compared for identical outputs with one ``diff``.
+"""Digest what the benchmark workloads and the built-in problems write, so that
+two source trees can be compared for identical outputs with one ``diff``.
 
     python scripts/output_digest.py SRC_DIR [--workload W ...] [--problem P ...]
                                             [--seed S ...]
 
-For each workload of ``perfbench/workloads.py`` (all three when neither
-``--workload`` nor ``--problem`` is given) and each seed (0 and 7 by
-default), the workload's config is made with the ``bome`` package in
-``SRC_DIR`` and run as ``python -m bome`` with ``PYTHONPATH=SRC_DIR`` in a
-temporary directory. Each ``--problem`` is run the same way, as ``bome run``
-on the bare document ``{"problem": P, "solver": {"seed": S}}``. One line is
-printed per input and seed: a sha256 over the config, the exit code, stdout and
-stderr (with the temporary directory masked), every trace CSV without its
-``wall_us`` column, and every summary without ``total_wall_us``. The config
-is hashed because hyper-cleaning's pretrained start is computed by the tree.
+With neither ``--workload`` nor ``--problem``, every workload of
+``perfbench/workloads.py`` and every built-in problem is digested; given
+either flag, only what the flags name. Each seed is 0 and 7 by default. A
+workload's config is made with the ``bome`` package in ``SRC_DIR`` and run as
+``python -m bome`` with ``PYTHONPATH=SRC_DIR`` in a temporary directory. A
+problem is run the same way, as ``bome run`` on the bare document
+``{"problem": P, "solver": {"seed": S}}``. One line is printed per input and
+seed: a sha256 over the config, the exit code, stdout and stderr (with the
+temporary directory masked), every trace CSV without its ``wall_us`` column,
+and every summary without ``total_wall_us``. The config is hashed because
+hyper-cleaning's pretrained start is computed by the tree.
 
 To compare a change with its parent commit:
 
@@ -84,10 +85,11 @@ def digest(src: Path, workload, seed: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="a source tree's src directory")
-    parser.add_argument("--workload", action="append",
+    parser.add_argument("--workload", action="append", default=[],
                         help="default: every workload, unless --problem is given")
     parser.add_argument("--problem", action="append", default=[],
-                        help="a built-in problem, run from its bare document")
+                        help="a built-in problem, run from its bare document; default: every "
+                             "problem, unless --workload is given")
     parser.add_argument("--seed", action="append", type=int, help="default: 0 and 7")
     args = parser.parse_args(argv)
     src = args.src.resolve()
@@ -97,15 +99,17 @@ def main(argv=None) -> int:
 
     from bome.cli import PROBLEMS
 
-    names = args.workload or ([] if args.problem else sorted(workloads.WORKLOADS))
+    names, problems = args.workload, args.problem
+    if not names and not problems:
+        names, problems = sorted(workloads.WORKLOADS), sorted(PROBLEMS)
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    unknown = sorted(set(args.problem) - set(PROBLEMS))
+    unknown = sorted(set(problems) - set(PROBLEMS))
     if unknown:
         parser.error(f"unknown problem(s): {', '.join(unknown)}")
     inputs = [(name, workloads.WORKLOADS[name]) for name in names]
-    inputs += [(f"problem={name}", _bare(name)) for name in args.problem]
+    inputs += [(f"problem={name}", _bare(name)) for name in problems]
     for label, workload in inputs:
         for seed in args.seed or SEEDS:
             print(f"{digest(src, workload, seed)}  {label} seed={seed}", flush=True)

@@ -105,9 +105,9 @@ _CORESET_STARTS["default"] = _CORESET_STARTS["start1"]
 def _coreset(params: dict, seed: int):
     _reject_unknown(params, {"x0", "vertices"}, "problem_params")
     fields = {}
-    if "x0" in params:
+    if params.get("x0") is not None:
         fields["target_x0"] = params["x0"]
-    if "vertices" in params:
+    if params.get("vertices") is not None:
         # one vertex per row in the config, one per column in the problem
         fields["vertices_X"] = np.asarray(params["vertices"], dtype=float).T
     prob = CoresetProblem(**fields)
@@ -135,7 +135,8 @@ def _synthetic(make, oracle, start):
 
     def build(params: dict, seed: int):
         _reject_unknown(params, allowed, "problem_params")
-        prob = make(**{"seed": seed, **params})
+        # a null is unset, as in the solver object
+        prob = make(**{"seed": seed, **{k: v for k, v in params.items() if v is not None}})
         return oracle(prob), {"default": start(prob)}
 
     return build
@@ -434,6 +435,10 @@ def _cmd_run_or_sweep(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     flags = {key: getattr(args, key) for key, f in _SOLVER_KEYS.items()
              if f.metadata.get("flag") and getattr(args, key) is not None}
+    clash = sorted(flags.keys() & (cfg.sweep or {}).keys())
+    if clash:  # each cell's sweep value would overwrite the flag's
+        raise ConfigurationError(f"a flag may not set a key the sweep varies: "
+                                 f"{', '.join('--' + key for key in clash)}")
     if flags or args.out:
         cfg = _edit_solver(cfg, flags, output_path=args.out or cfg.output_path)
     is_sweep = args.command == "sweep"

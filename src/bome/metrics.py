@@ -6,10 +6,10 @@ constraint gradient) and a feasibility term (the inner suboptimality q).
 Both variants assemble it from one ``barrier_step.Constraint`` record:
 q = g(v, theta) - g(v, theta_ref), its stop-gradient derivative and their
 reductions, formed by the BOME step's constraint function against different
-reference inner points theta_ref:
+reference inner points theta_ref. Neither takes an outer step:
 
 * exact -- a closed-form inner minimizer theta*(v);
-* proxy -- theta^(T), the same T-step plug-in estimate the solver uses. On a
+* proxy -- theta^(T), the end of the step's own T-step inner descent. On a
            multimodal g it is basin-local: theta^(T) descends into the basin
            of the current theta and, at long T, reaches that basin's minimum.
 """
@@ -29,8 +29,7 @@ from .core import (
     joint_axpy,
     joint_dot,
 )
-from .barrier_step import BarrierSolution, Constraint, _barrier_multiplier, _constraint, bome_step
-from .barrier_step import inner_descent  # unused here; perfbench/tracing.py patches it
+from .barrier_step import Constraint, _barrier_multiplier, _constraint, inner_descent
 
 
 @dataclass
@@ -75,7 +74,7 @@ def kkt_exact(oracle: BilevelOracle, point: JointPoint) -> KktReport:
     if oracle.exact_inner_opt is None:
         raise MissingOracleCapability("exact stationarity needs exact_inner_opt")
     theta_star = np.asarray(oracle.exact_inner_opt(point.v), dtype=float)
-    here = float(oracle.eval_g(JointPoint._trusted(point.v, point.theta)))
+    here = float(oracle.eval_g(point))
     ref = float(oracle.eval_g(JointPoint._trusted(point.v, theta_star)))
     return _assemble_report(_constraint(oracle, point, theta_star, here, ref))
 
@@ -84,15 +83,19 @@ def kkt_proxy(
     oracle: BilevelOracle,
     point: JointPoint,
     cfg: SolverConfig,
-    step: Optional[BarrierSolution] = None,
+    step: Optional[Constraint] = None,
 ) -> KktReport:
     """Stationarity report from the plug-in estimate.
 
-    The report is assembled from the constraint values of the
-    :func:`bome_step` taken at ``point`` with ``cfg``, so the monitored
-    quantity is what the solver sees there. Given that ``step``, makes no
-    oracle call. Without it, takes the BOME step at ``point``; that step
-    checks its update too, so an update that overflows raises
-    :class:`NumericalError`.
+    The report is assembled from the :class:`Constraint` against theta^(T)
+    that the BOME step at ``point`` with ``cfg`` forms, so the monitored
+    quantity is what the solver sees there. Given that step, makes no oracle
+    call. Without it, runs the step's inner descent and constraint, with the
+    same oracle calls in the same order, but no update: no outer step,
+    barrier or momentum setting is read.
     """
-    return _assemble_report(step or bome_step(oracle, point, cfg)[1])
+    if step is None:
+        inner = inner_descent(oracle, point.v, point.theta, cfg.inner_iters_T,
+                              cfg.inner_step_alpha)
+        step = _constraint(oracle, point, inner.theta_T, inner.g_before, inner.g_after)
+    return _assemble_report(step)

@@ -489,6 +489,48 @@ class TestCliMain:
         etas = sorted({entry["config"]["eta"] for entry in payload})
         assert etas == [0.1, 0.5]
 
+    def test_flag_on_a_swept_key_is_a_configuration_error(self, tmp_path, capsys):
+        # each cell's sweep value would overwrite the flag's, so the flag is refused
+        out = tmp_path / "sweep.csv"
+        doc = {"problem": "minimax", "solver": {"iters": 3},
+               "sweep": {"eta": [0.1, 0.9]}, "output_path": str(out)}
+        assert main(["sweep", str(self.write_config(tmp_path, doc)), "--eta", "0.3"]) == 2
+        assert "--eta" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        assert not out.with_suffix(".summary.json").exists()
+
+    def test_flag_on_an_unswept_key_applies_to_every_cell(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        doc = {"problem": "minimax", "solver": {"iters": 3},
+               "sweep": {"eta": [0.1, 0.9]}, "output_path": str(out)}
+        assert main(["sweep", str(self.write_config(tmp_path, doc)), "--T", "3"]) == 0
+        payload = json.loads(out.with_suffix(".summary.json").read_text())
+        assert [(e["config"]["eta"], e["config"]["T"]) for e in payload] == [(0.1, 3), (0.9, 3)]
+
+    @pytest.mark.parametrize("problem, params, key", [
+        ("ridge", {}, "seed"),
+        ("hyperclean", {"m_val": 16, "p": 4}, "m_tr"),
+        ("coreset", {}, "x0"),
+        ("coreset", {}, "vertices"),
+    ], ids=["ridge-seed", "hyperclean-m_tr", "coreset-x0", "coreset-vertices"])
+    def test_null_problem_param_is_unset(self, tmp_path, problem, params, key):
+        # a null takes the default, as in the solver object: the same data is
+        # drawn, so the trace is the one without the key
+        traces = []
+        for name, doc_params in (("unset", params), ("null", {**params, key: None})):
+            out = tmp_path / f"{name}.csv"
+            doc = {"problem": problem, "problem_params": doc_params, "output_path": str(out),
+                   "solver": {"iters": 3, "xi": 1e-3, "seed": 5}}
+            assert main(["run", str(self.write_config(tmp_path, doc, f"{name}.json"))]) == 0
+            traces.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+        assert traces[0] == traces[1] and len(traces[0]) == 4
+
+    @pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+    def test_unknown_problem_param_rejected_even_when_null(self, tmp_path, capsys, problem):
+        doc = {"problem": problem, "problem_params": {"bogus": None}}
+        assert main(["run", str(self.write_config(tmp_path, doc))]) == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_overflowed_distance_is_written_as_null(self, tmp_path):
         out = tmp_path / "gda.csv"
         cfg = self.write_config(tmp_path, {

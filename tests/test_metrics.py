@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bome.barrier_step
+import bome.metrics
 from bome import (
     BarrierKind,
     JointGradient,
     JointPoint,
     KktReport,
+    Method,
     MissingOracleCapability,
     SolverConfig,
+    StepDiagnostics,
+    Termination,
     bome_step,
     compute_lambda,
     coreset_oracle,
@@ -296,6 +301,85 @@ class TestOneConstraint:
             assert [getattr(exact, f.name).hex() for f in dataclasses.fields(KktReport)] == \
                 [getattr(proxy, f.name).hex() for f in dataclasses.fields(KktReport)]
             point = new_point
+
+
+def _hex_fields(report: KktReport) -> list[str]:
+    return [getattr(report, f.name).hex() for f in dataclasses.fields(KktReport)]
+
+
+# minimax far from its optimum, where one outer step at these sizes overflows
+FAR = JointPoint([100.0], [100.0])
+HUGE_STEPS = {"xi_v": 1e308, "xi_theta": 1e308}
+
+
+def _far_cfg(**changes) -> SolverConfig:
+    return SolverConfig(max_outer_iters_K=50, kkt_eval_every=10, **changes)
+
+
+class TestProxyTakesNoUpdate:
+    """A proxy score without a step runs the step's inner descent and
+    constraint and nothing after them, so no outer step, barrier or momentum
+    setting reaches it and an update that would overflow cannot fail it."""
+
+    def test_runs_inner_descent_and_no_step(self, monkeypatch):
+        calls = {"inner_descent": 0, "bome_step": 0}
+
+        def counted(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(bome.metrics, "inner_descent",
+                            counted("inner_descent", bome.barrier_step.inner_descent))
+        monkeypatch.setattr(bome.barrier_step, "bome_step",
+                            counted("bome_step", bome.barrier_step.bome_step))
+        monkeypatch.setattr(bome.metrics, "bome_step",
+                            counted("bome_step", bome.barrier_step.bome_step), raising=False)
+        kkt_proxy(minimax_oracle(), FAR, SolverConfig())
+        assert calls == {"inner_descent": 1, "bome_step": 0}
+
+    def test_metrics_imports_no_step(self):
+        assert not hasattr(bome.metrics, "bome_step")
+        assert not hasattr(bome.metrics, "BarrierSolution")
+
+    @pytest.mark.parametrize("changes", [
+        HUGE_STEPS,
+        {**HUGE_STEPS, "momentum_beta": 0.9},
+        {**HUGE_STEPS, "eta": 0.05},
+        {**HUGE_STEPS, "barrier_kind": BarrierKind.VALUE},
+        {"xi_v": 1e308},
+        {"xi_theta": 1e308},
+    ], ids=["steps", "momentum", "eta", "barrier", "xi_v", "xi_theta"])
+    def test_report_ignores_the_update_settings(self, changes):
+        oracle = minimax_oracle()
+        report = kkt_proxy(oracle, FAR, _far_cfg(**changes))
+        assert _hex_fields(report) == _hex_fields(kkt_proxy(oracle, FAR, _far_cfg()))
+
+    @pytest.mark.parametrize("method", [Method.NAIVE_GDA, Method.OPTIMISTIC_GD])
+    def test_baselines_read_no_bome_step_size(self, method):
+        # GDA and OGD never read xi_v or xi_theta, so neither may their scores
+        oracle = minimax_oracle()
+        huge = run(oracle, FAR, _far_cfg(**HUGE_STEPS), method)
+        default = run(oracle, FAR, _far_cfg(), method)
+        assert huge.termination is default.termination is Termination.MAX_ITERS
+        names = [f.name for f in dataclasses.fields(StepDiagnostics)
+                 if f.name != "wall_time_micros"]
+        assert list(huge.records.rows(names)) == list(default.records.rows(names))
+        assert len(huge.records) == 50
+        assert np.array_equal(huge.final_point.v, default.final_point.v)
+        assert np.array_equal(huge.final_point.theta, default.final_point.theta)
+        assert _hex_fields(huge.final_kkt) == _hex_fields(default.final_kkt)
+
+    def test_bome_run_that_overflows_keeps_its_final_score(self):
+        # the first update overflows, yet the end point, the start, scores:
+        # a final score is None only when it is not finite or a call raised
+        oracle = minimax_oracle()
+        trace = run(oracle, FAR, _far_cfg(**HUGE_STEPS))
+        assert trace.termination is Termination.NUMERICAL_ERROR
+        assert len(trace.records) == 0
+        assert _hex_fields(trace.final_kkt) == \
+            _hex_fields(kkt_proxy(oracle, FAR, _far_cfg(**HUGE_STEPS)))
 
 
 def _long_T(alpha: float) -> SolverConfig:
