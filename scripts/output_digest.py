@@ -3,6 +3,7 @@ two source trees can be compared for identical outputs with one ``diff``.
 
     python scripts/output_digest.py SRC_DIR [--workload W ...] [--problem P ...]
                                             [--seed S ...]
+    python scripts/output_digest.py SRC_DIR --calls
 
 With neither ``--workload`` nor ``--problem``, every workload of
 ``perfbench/workloads.py`` and every built-in problem is digested; given
@@ -15,6 +16,13 @@ seed: a sha256 over the config, the exit code, stdout and stderr (with the
 temporary directory masked), every trace CSV without its ``wall_us`` column,
 and every summary without ``total_wall_us``. The config is hashed because
 hyper-cleaning's pretrained start is computed by the tree.
+
+``--calls`` prints, instead, cProfile's total calls per outer iteration of
+``run()`` for each of the fixed configs of ``CALL_CONFIGS``, each run for
+``CALL_ITERS`` iterations in a fresh ``python`` with ``PYTHONPATH=SRC_DIR``;
+imports and building the oracle are not counted. The count is deterministic,
+but it does not see numpy operators or ufunc calls, so a change that only
+removes temporaries shows in wall time alone.
 
 To compare a change with its parent commit:
 
@@ -39,6 +47,32 @@ from types import SimpleNamespace
 REPO = Path(__file__).resolve().parent.parent
 MASK = "<tmp>"
 SEEDS = (0, 7)
+
+CALL_ITERS = 2000
+# label: (problem, start (v, theta), SolverConfig keywords) of each --calls run
+CALL_CONFIGS = {
+    "minimax T=0 kkt_every=1000000": (
+        "minimax", ([1.0], [1.0]),
+        {"outer_step_xi": 0.05, "inner_iters_T": 0, "kkt_eval_every": 10**6}),
+    "minimax T=10 kkt_every=1": (
+        "minimax", ([1.0], [1.0]),
+        {"outer_step_xi": 0.05, "inner_iters_T": 10, "kkt_eval_every": 1}),
+    "coreset quick-start kkt_every=50 start1": (
+        "coreset", ([0.0] * 4, [0.0, 3.0]),
+        {"outer_step_xi": 0.002, "inner_step_alpha": 0.25, "inner_iters_T": 10, "xi_v": 1.0,
+         "xi_theta": 0.002, "momentum_beta": 0.9, "kkt_eval_every": 50}),
+}
+# run as ``python -c`` with the JSON of (problem, start, keywords, iterations)
+_COUNT_CALLS = """\
+import cProfile, json, pstats, sys
+import bome
+problem, (v, theta), solver, iters = json.loads(sys.argv[1])
+oracle, start = getattr(bome, problem + "_oracle")(), bome.JointPoint(v, theta)
+cfg = bome.SolverConfig(max_outer_iters_K=iters, **solver)
+profile = cProfile.Profile()
+profile.runcall(bome.run, oracle, start, cfg)
+print(pstats.Stats(profile).total_calls / iters)
+"""
 
 
 def _wall_free_csv(text: str) -> str:
@@ -82,6 +116,23 @@ def digest(src: Path, workload, seed: int) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def calls_per_iteration(src: Path) -> dict[str, str]:
+    """cProfile's calls per outer iteration of ``run()`` with the tree in
+    ``src``, by label of ``CALL_CONFIGS``; the configs run side by side."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    procs = {
+        label: subprocess.Popen(
+            [sys.executable, "-c", _COUNT_CALLS, json.dumps([*config, CALL_ITERS])],
+            env=env, stdout=subprocess.PIPE, text=True)
+        for label, config in CALL_CONFIGS.items()
+    }
+    counts = {label: proc.communicate()[0].strip() for label, proc in procs.items()}
+    failed = [label for label, proc in procs.items() if proc.returncode]
+    if failed:
+        raise RuntimeError(f"counting failed: {', '.join(failed)}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="a source tree's src directory")
@@ -91,8 +142,16 @@ def main(argv=None) -> int:
                         help="a built-in problem, run from its bare document; default: every "
                              "problem, unless --workload is given")
     parser.add_argument("--seed", action="append", type=int, help="default: 0 and 7")
+    parser.add_argument("--calls", action="store_true",
+                        help="print the calls per outer iteration of the fixed configs instead")
     args = parser.parse_args(argv)
     src = args.src.resolve()
+    if args.calls:
+        if args.workload or args.problem or args.seed:
+            parser.error("--calls takes no --workload, --problem or --seed")
+        for label, count in calls_per_iteration(src).items():
+            print(f"{count}  {label}")
+        return 0
     # the workloads import bome to make their configs: the tree under test's
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
     import workloads

@@ -8,14 +8,14 @@ derivative and their reductions as one :class:`Constraint` record
 closed-form theta* in place of theta^(T)), and (3) moves (v, theta) along
 delta = grad f + lambda * grad q_hat, where the closed-form multiplier lambda
 is the smallest nonnegative value making <grad q_hat, delta> >= phi for the
-chosen barrier phi. The step's :class:`BarrierSolution` is that record
-extended by lambda, phi and delta.
+chosen barrier phi. The step's :class:`BarrierSolution` is that record,
+which the step fills in with lambda, phi and delta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -98,23 +98,24 @@ class Constraint:
     """The constraint q = g(v, theta) - g(v, theta_ref) at one point, as
     :func:`_constraint` forms it: ``grad_f``, the stop-gradient derivative
     ``grad_qhat`` of q, ``q_hat`` = q, the reductions ``grad_qhat_sq`` =
-    ||grad_qhat||^2 and ``grad_f_dot_qhat`` = <grad_f, grad_qhat>, and
-    ``g_scale`` = |g(v, theta)| + |g(v, theta_ref)|, the size of the two
-    values q subtracts. It is all a stationarity score needs."""
+    ||grad_qhat||^2 and ``grad_f_dot_qhat`` = <grad_f, grad_qhat>, and the
+    two values q subtracts, ``g_here`` = g(v, theta) and ``g_ref`` =
+    g(v, theta_ref). It is all a stationarity score needs."""
 
     grad_f: JointGradient
     grad_qhat: JointGradient
     q_hat: float
     grad_qhat_sq: float
     grad_f_dot_qhat: float
-    g_scale: float
+    g_here: float
+    g_ref: float
 
 
 @dataclass
 class BarrierSolution(Constraint):
     """One outer step: the :class:`Constraint` at the point it was taken
-    from, against theta_ref = theta^(T), with the multiplier, barrier and
-    direction built from it.
+    from, against theta_ref = theta^(T), on which :func:`bome_step` sets the
+    multiplier, barrier and direction built from it: the six fields below.
 
     ``delta`` is the raw direction grad_f + lambda * grad_qhat before any
     momentum smoothing, so the barrier constraint <grad_qhat, delta> >= phi
@@ -123,12 +124,12 @@ class BarrierSolution(Constraint):
     momentum, otherwise delta itself.
     """
 
-    lam: float
-    phi: float
-    delta: JointGradient
-    velocity: JointGradient
-    grad_qhat_norm: float
-    inner_result: InnerResult
+    lam: float = field(init=False)
+    phi: float = field(init=False)
+    delta: JointGradient = field(init=False)
+    velocity: JointGradient = field(init=False)
+    grad_qhat_norm: float = field(init=False)
+    inner_result: InnerResult = field(init=False)
 
 
 def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
@@ -146,14 +147,14 @@ def grad_q_hat(oracle: BilevelOracle, v, theta, theta_T) -> JointGradient:
 
 
 def _constraint(oracle: BilevelOracle, point: JointPoint, theta_ref, here: float,
-                ref: float) -> Constraint:
+                ref: float, record: type[Constraint] = Constraint) -> Constraint:
     """The :class:`Constraint` q = here - ref at ``point``, for ``here`` =
-    g(v, theta) and ``ref`` = g(v, theta_ref); grad q is the stop-gradient
+    g(v, theta) and ``ref`` = g(v, theta_ref), made as a ``record`` (the step
+    passes :class:`BarrierSolution`); grad q is the stop-gradient
     :func:`grad_q_hat`, formed before grad f."""
     gq = grad_q_hat(oracle, point.v, point.theta, theta_ref)
     gf = oracle.grad_f(point)
-    return Constraint(gf, gq, here - ref, joint_dot(gq, gq), joint_dot(gf, gq),
-                      abs(here) + abs(ref))
+    return record(gf, gq, here - ref, joint_dot(gq, gq), joint_dot(gf, gq), here, ref)
 
 
 def compute_phi(kind: BarrierKind, eta: float, q_hat: float, grad_qhat_norm: float) -> float:
@@ -207,19 +208,18 @@ def bome_step(
     """
     inner = inner_descent(oracle, point.v, point.theta, cfg.inner_iters_T, cfg.inner_step_alpha)
     # both g values of q_hat were already evaluated by the warm-started inner loop
-    c = _constraint(oracle, point, inner.theta_T, inner.g_before, inner.g_after)
-    gq_norm = math.sqrt(c.grad_qhat_sq)  # grad_qhat.norm(), from the sum already formed
-    phi = compute_phi(cfg.barrier_kind, cfg.eta, c.q_hat, gq_norm)
-    lam = _barrier_multiplier(c.grad_qhat_sq, c.grad_f_dot_qhat, phi)
-    delta = joint_axpy(c.grad_f, lam, c.grad_qhat)
+    sol = _constraint(oracle, point, inner.theta_T, inner.g_before, inner.g_after, BarrierSolution)
+    sol.inner_result = inner
+    sol.grad_qhat_norm = gq_norm = math.sqrt(sol.grad_qhat_sq)  # grad_qhat.norm(), from its sum
+    sol.phi = phi = compute_phi(cfg.barrier_kind, cfg.eta, sol.q_hat, gq_norm)
+    sol.lam = lam = _barrier_multiplier(sol.grad_qhat_sq, sol.grad_f_dot_qhat, phi)
+    sol.delta = delta = joint_axpy(sol.grad_f, lam, sol.grad_qhat)
 
     if cfg.momentum_beta > 0.0 and velocity is not None:
-        velocity = joint_axpy(delta, cfg.momentum_beta, velocity)
+        sol.velocity = velocity = joint_axpy(delta, cfg.momentum_beta, velocity)
     else:
-        velocity = delta
+        sol.velocity = velocity = delta
     new_point = JointPoint._checked(
         point.v - cfg.xi_v * velocity.dv, point.theta - cfg.xi_theta * velocity.dtheta
     )
-    return new_point, BarrierSolution(**vars(c), lam=lam, phi=phi, delta=delta,
-                                      velocity=velocity, grad_qhat_norm=gq_norm,
-                                      inner_result=inner)
+    return new_point, sol

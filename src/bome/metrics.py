@@ -59,7 +59,7 @@ def _assemble_report(c: Constraint) -> KktReport:
         feasibility=c.q_hat,
         total=local + c.q_hat,
         lambda_star=lam,
-        g_scale=c.g_scale,
+        g_scale=abs(c.g_here) + abs(c.g_ref),
     )
 
 

@@ -30,6 +30,7 @@ from bome import (
     ridge_oracle,
     run,
 )
+from bome.cli import PROBLEMS
 from conftest import (
     brute_lambda_star,
     double_well_oracle,
@@ -300,6 +301,28 @@ class TestOneConstraint:
             proxy = kkt_proxy(oracle, point, cfg, step=step)
             assert [getattr(exact, f.name).hex() for f in dataclasses.fields(KktReport)] == \
                 [getattr(proxy, f.name).hex() for f in dataclasses.fields(KktReport)]
+            point = new_point
+
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_g_scale_is_the_size_of_the_two_g_values(self, problem):
+        # every score judges its round-off against |g(v, theta)| + |g(v, theta_ref)|,
+        # to the bit, for theta_ref = theta* and theta_ref = theta^(T)
+        oracle, presets = PROBLEMS[problem][1]({}, 0)
+        point, cfg = JointPoint(*presets["default"]), SolverConfig(outer_step_xi=0.01)
+
+        def scale(theta_ref):
+            ref = JointPoint(point.v, np.asarray(theta_ref, dtype=float))
+            return abs(float(oracle.eval_g(point))) + abs(float(oracle.eval_g(ref)))
+
+        for _ in range(3):
+            new_point, sol = bome_step(oracle, point, cfg)
+            theta_T = sol.inner_result.theta_T
+            assert kkt_proxy(oracle, point, cfg, step=sol).g_scale == scale(theta_T)
+            assert kkt_proxy(oracle, point, cfg).g_scale == scale(theta_T)
+            exact = oracle if oracle.exact_inner_opt else \
+                dataclasses.replace(oracle, exact_inner_opt=lambda v: theta_T)
+            assert kkt_exact(exact, point).g_scale == scale(exact.exact_inner_opt(point.v))
             point = new_point
 
 

@@ -225,8 +225,9 @@ class TestOracleCalls:
     @pytest.mark.parametrize("K", [1, 40])
     def test_proxy_scored_bome_run_call_formula(self, K):
         # each step runs T inner steps and scores its own iterate from the
-        # step's plug-in quantities; the final score takes one more BOME step
-        # at the end point (minimax never exits inner descent early from (1, 1))
+        # step's plug-in quantities; the final score runs inner descent and the
+        # constraint at the end point, the calls of one BOME step with no
+        # update (minimax never exits inner descent early from (1, 1))
         calls = dict.fromkeys(["eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta"], 0)
 
         def counted(kind, fn):
@@ -252,8 +253,9 @@ class TestOracleCalls:
         }
 
     def test_proxy_scored_gda_run_call_formula(self):
-        # K = 3 GDA steps, each scored: per scored iterate one BOME step's
-        # calls (10 grad_g_theta, 2 eval_g, 2 grad_g, 1 grad_f) plus GDA's own
+        # K = 3 GDA steps, each scored: per scored iterate the inner descent
+        # and constraint of a score, the calls of one BOME step with no update
+        # (10 grad_g_theta, 2 eval_g, 2 grad_g, 1 grad_f), plus GDA's own
         # grad_f and eval_f; the final point adds one score and one eval_f
         calls = dict.fromkeys(["eval_f", "grad_f", "eval_g", "grad_g", "grad_g_theta"], 0)
 

@@ -72,3 +72,22 @@ def test_output_digest_repeats_on_one_tree():
     assert len(lines) == 4 and lines[0] == lines[1] and lines[2] == lines[3]
     assert re.fullmatch(r"[0-9a-f]{64}  minimax-curve seed=0", lines[0])
     assert re.fullmatch(r"[0-9a-f]{64}  problem=lls seed=0", lines[2])
+
+
+def test_output_digest_calls_repeat_on_one_tree():
+    # cProfile's call counts are deterministic: two invocations print the
+    # same count for each of the three fixed configs
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "output_digest.py"), str(REPO / "src"),
+             "--calls"],
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 3
+    assert all(re.fullmatch(r"\d+\.\d+  (minimax|coreset) .+", line) for line in lines)
